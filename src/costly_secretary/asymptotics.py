@@ -30,41 +30,16 @@ __all__ = [
     "convergence_report",
 ]
 
-# Lanczos approximation, g = 7, 9 terms.  Standard published coefficient set;
-# relative error is far below 1e-12 on the range used here.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-06,
-    1.5056327351493116e-07,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma(x: float) -> float:
     """Gamma function for positive real arguments.
 
-    Lanczos approximation with reflection below 1/2.  Validated to a relative
-    error of 1e-12 on (0, 3], the range needed for the limit constants
+    ``math.gamma`` behind an argument check; the limit constants need
     Gamma(1-cost) and Gamma(2-cost) with cost in [0, 1).
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires a positive finite argument, got {x!r}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def limit_constant(cost: float) -> float:

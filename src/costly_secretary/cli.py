@@ -25,8 +25,8 @@ from . import __version__
 from .asymptotics import convergence_report, limit_constant
 from .equilibrium import (
     GameConfig,
-    build_policy,
     closed_form_success,
+    equilibrium_accept_probs,
     expected_stopping_time,
     solve_values,
 )
@@ -103,16 +103,15 @@ def _meta(spec: RunSpec, **extra) -> dict:
 def _run_solve(spec: RunSpec) -> int:
     config = GameConfig(spec.n, spec.cost)
     tables = solve_values(config)
-    policy = build_policy(config, tables)
     if spec.tables:
         rows = [
             {
                 "stage": n,
                 "v0": float(tables.v0[n]),
                 "v1": float(tables.v1[n]),
-                "accept_record": float(policy.accept_record[n]),
+                "accept_record": q,
             }
-            for n in range(1, config.n_applicants + 1)
+            for n, q in enumerate(equilibrium_accept_probs(config), start=1)
         ]
     else:
         rows = [
@@ -124,7 +123,7 @@ def _run_solve(spec: RunSpec) -> int:
                 "expected_tau": expected_stopping_time(config),
                 "accept_record_before_threshold": config.cost,
                 "accept_record_from_threshold": 1.0,
-                "accept_nonrecord": policy.accept_nonrecord,
+                "accept_nonrecord": 0.0,
             }
         ]
     _emit(rows, _meta(spec), spec)
@@ -241,14 +240,7 @@ def _run_oracle(spec: RunSpec) -> int:
         check("enumeration_vs_dp", enum_pi, dp),
         check("expected_tau_vs_n_pi", tau_closed, config.n_applicants * closed),
         check("enumeration_tau_vs_n_pi", enum_tau, config.n_applicants * enum_pi),
-        {
-            "check": "full_learning_audit",
-            "value_a": 1.0 if audit_ok else 0.0,
-            "value_b": 1.0,
-            "difference": 0.0 if audit_ok else 1.0,
-            "tolerance": 0.0,
-            "status": "ok" if audit_ok else "fail",
-        },
+        check("full_learning_audit", 1.0 if audit_ok else 0.0, 1.0, tol=0.0),
     ]
     scan_failed = False
     if spec.grid_step is not None:
@@ -373,27 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    n_range: tuple[int, ...] = ()
-    if getattr(args, "n_range", None):
-        n_range = _parse_n_range(args.n_range, getattr(args, "log_spaced", False))
-    cost_list: tuple[float, ...] = ()
-    if getattr(args, "cost_list", None):
-        cost_list = _parse_cost_list(args.cost_list)
-    return RunSpec(
-        command=args.command,
-        n=getattr(args, "n", None),
-        cost=getattr(args, "cost", None),
-        n_range=n_range,
-        cost_list=cost_list,
-        trials=getattr(args, "trials", 0),
-        seed=getattr(args, "seed", 0),
-        workers=getattr(args, "workers", 1),
-        grid_step=getattr(args, "grid_step", None),
-        tolerance=getattr(args, "tolerance", None),
-        tables=getattr(args, "tables", False),
-        output_format=args.format,
-        output_path=args.out,
-    )
+    # Each subcommand defines only its own flags; RunSpec defaults the rest.
+    fields = dict(vars(args))
+    fields["output_format"] = fields.pop("format")
+    fields["output_path"] = fields.pop("out")
+    log_spaced = fields.pop("log_spaced", False)
+    n_range = fields.get("n_range")
+    fields["n_range"] = _parse_n_range(n_range, log_spaced) if n_range else ()
+    cost_list = fields.get("cost_list")
+    fields["cost_list"] = _parse_cost_list(cost_list) if cost_list else ()
+    return RunSpec(**fields)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,7 +5,7 @@ to hire the overall best.  Completing an interview costs each applicant a
 fraction ``cost`` of the job's value, so a current-best applicant only shows
 their ability when the acceptance probability covers the cost.  This module
 computes the threshold stage, the per-stage continuation values, the
-resulting acceptance policy, and closed forms for the success probability
+resulting acceptance plan, and closed forms for the success probability
 and the expected length of search.
 """
 
@@ -20,11 +20,10 @@ import numpy as np
 __all__ = [
     "GameConfig",
     "ValueTables",
-    "EquilibriumPolicy",
     "compute_threshold",
     "compute_threshold_sequence",
     "solve_values",
-    "build_policy",
+    "equilibrium_accept_probs",
     "record_survival_product",
     "closed_form_success",
     "expected_stopping_time",
@@ -137,16 +136,6 @@ class ValueTables:
     threshold: int
     success_probability: float
 
-    @property
-    def unnormalized_v0(self) -> np.ndarray:
-        """Stage values n * v0[n] (the not-current-best state)."""
-        return np.arange(len(self.v0), dtype=np.float64) * self.v0
-
-    @property
-    def unnormalized_v1(self) -> np.ndarray:
-        """Stage values n * v1[n] (the current-best state)."""
-        return np.arange(len(self.v1), dtype=np.float64) * self.v1
-
 
 def solve_values(config: GameConfig) -> ValueTables:
     """Solve the stage values by backward induction.
@@ -191,37 +180,19 @@ def solve_values(config: GameConfig) -> ValueTables:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EquilibriumPolicy:
-    """Acceptance plan of the administrator.
-
-    ``accept_record[n]`` is the probability of accepting applicant n when
-    their output is a strictly new positive maximum (index 0 unused, NaN);
-    any other output is accepted with probability ``accept_nonrecord`` = 0.
-    """
-
-    config: GameConfig
-    accept_record: np.ndarray
-    accept_nonrecord: float = 0.0
-
-
-def build_policy(config: GameConfig, tables: ValueTables) -> EquilibriumPolicy:
-    """Acceptance probabilities implied by solved value tables.
+def equilibrium_accept_probs(config: GameConfig) -> list[float]:
+    """Record-acceptance probability of the solved plan at stages 1..N.
 
     A current best before the threshold stage is accepted with the minimum
     probability that still makes completing the interview worthwhile (the
-    cost); from the threshold stage on it is accepted outright.
+    cost); from the threshold stage on it is accepted outright.  Any other
+    output is never accepted.
     """
-    if tables.config != config:
-        raise ValueError(
-            "value tables were solved for a different instance: "
-            f"{tables.config} vs {config}"
-        )
-    n_apps = config.n_applicants
-    accept = np.ones(n_apps + 1, dtype=np.float64)
-    accept[: tables.threshold] = config.cost
-    accept[0] = math.nan
-    return EquilibriumPolicy(config=config, accept_record=accept)
+    n_star = compute_threshold(config.n_applicants)
+    return [
+        config.cost if n < n_star else 1.0
+        for n in range(1, config.n_applicants + 1)
+    ]
 
 
 def record_survival_product(n: int, cost: float) -> float:

@@ -12,13 +12,18 @@ prefix audit of the full-learning property.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .equilibrium import GameConfig, _as_count, compute_threshold, solve_values
-from .simulator import StrategyProfile, applicant_action
+from .equilibrium import GameConfig, _as_count, equilibrium_accept_probs, solve_values
+from .simulator import (
+    StrategyProfile,
+    _check_profile,
+    _masses_to_stage_probs,
+    _reveals,
+    applicant_action,
+)
 
 __all__ = [
     "VerificationError",
@@ -69,11 +74,7 @@ class PolicySpec:
 
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "PolicySpec":
-        n_star = compute_threshold(config.n_applicants)
-        probs = tuple(
-            config.cost if n < n_star else 1.0
-            for n in range(1, config.n_applicants + 1)
-        )
+        probs = tuple(equilibrium_accept_probs(config))
         return cls(accept_probs=probs, learning=(True,) * config.n_applicants)
 
     @classmethod
@@ -82,93 +83,83 @@ class PolicySpec:
 
         ``masses`` gives the total probability of accepting each applicant
         (non-negative, summing to at most 1); any mass vector summing to 1
-        hires the best with probability exactly 1/N.  Conversion to
-        conditional per-stage probabilities is exact when the masses are
+        hires the best with probability exactly 1/N.  The masses enter
+        exactly, so the conditional per-stage probabilities are exact
         Fractions.
         """
-        probs = []
-        remaining = Fraction(1)
-        for p in masses:
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            if p < 0:
-                raise ValueError("acceptance masses must be non-negative")
-            if p > remaining:
-                if p - remaining > Fraction(1, 10**9):
-                    raise ValueError("acceptance masses sum to more than 1")
-                p = remaining
-            probs.append(p / remaining if remaining else Fraction(0))
-            remaining -= p
+        probs = _masses_to_stage_probs([Fraction(p) for p in masses])
         return cls(accept_probs=tuple(probs), learning=(False,) * len(probs))
 
-    def validate_for(self, config: GameConfig) -> None:
+    def validate_for(self, config: GameConfig) -> list[bool]:
+        """Check the policy against the instance; return which stages reveal
+        a current best.
+
+        A learning stage that nobody completes must offer zero, so it plays
+        as a blind stage with acceptance probability zero.
+        """
         if len(self.accept_probs) != config.n_applicants:
             raise ValueError(
                 f"policy has {len(self.accept_probs)} stages, instance has "
                 f"{config.n_applicants} applicants"
             )
+        reveals = []
         for n, (q, learn) in enumerate(zip(self.accept_probs, self.learning), start=1):
-            if learn and q != 0 and q < config.cost:
+            reveals.append(_reveals(learn, q, config.cost))
+            if learn and q != 0 and not reveals[-1]:
                 raise ValueError(
                     f"stage {n}: record acceptance {q!r} is below the cost "
                     f"{config.cost} but not outright rejection"
                 )
+        return reveals
 
 
-def _exact_stats(config: GameConfig, policy: PolicySpec) -> tuple[Fraction, Fraction]:
-    """Enumerate all N! arrival orders and average exactly.
+def _exact_walk(
+    config: GameConfig, policy: PolicySpec, stage: int = 1, state: int = 1
+) -> tuple[Fraction, Fraction, int]:
+    """Walk, from ``stage`` on, every arrival order in which the stage's
+    applicant is (state 1) or is not (state 0) the best so far; from stage 1
+    in state 1 that is all N! orders.
 
     Per order the only randomness left is the administrator's coin flips, so
     the walk carries the surviving probability mass along the order and
     accumulates hiring-the-best and stopping-index mass at each acceptance
     opportunity.  All arithmetic is rational (floats enter exactly).
+    Returns the summed success and stopping-index masses and the number of
+    orders walked.
     """
-    policy.validate_for(config)
+    reveals = policy.validate_for(config)
     n_apps = config.n_applicants
     if n_apps > _MAX_ENUM:
         raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
-    cost = Fraction(config.cost)
-    probs = [p if isinstance(p, Fraction) else Fraction(p) for p in policy.accept_probs]
-    # live: the stage both reveals and may accept; dead learning stages
-    # (acceptance below cost) see no completed interview at all.
-    live = [
-        learn and q >= cost for q, learn in zip(probs, policy.learning)
-    ]
-    learning = policy.learning
+    probs = [Fraction(q) for q in policy.accept_probs]
+    start = stage - 1
+    want_best = state == 1
     one = Fraction(1)
     success = Fraction(0)
     tau_mass = Fraction(0)
+    count = 0
     for order in itertools.permutations(range(1, n_apps + 1)):
+        revealed = max(order[:start], default=0)
+        if (order[start] > revealed) != want_best:
+            continue
+        count += 1
         alive = one
-        revealed = 0
-        for idx in range(n_apps):
-            if learning[idx]:
-                if not live[idx]:
-                    continue
-                rank = order[idx]
+        for idx in range(start, n_apps):
+            rank = order[idx]
+            if reveals[idx]:
                 if rank <= revealed:
                     continue
                 revealed = rank
-                q = probs[idx]
-                if q:
-                    win = alive * q
-                    if rank == n_apps:
-                        success += win
-                    tau_mass += win * (idx + 1)
-                    alive -= win
-                    if not alive:
-                        break
-            else:
-                p = probs[idx]
-                if p:
-                    win = alive * p
-                    if order[idx] == n_apps:
-                        success += win
-                    tau_mass += win * (idx + 1)
-                    alive -= win
-                    if not alive:
-                        break
-    weight = Fraction(1, math.factorial(n_apps))
-    return success * weight, tau_mass * weight
+            q = probs[idx]
+            if q:
+                win = alive * q
+                if rank == n_apps:
+                    success += win
+                tau_mass += win * (idx + 1)
+                alive -= win
+                if not alive:
+                    break
+    return success, tau_mass, count
 
 
 def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fraction:
@@ -176,7 +167,8 @@ def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fractio
 
     Exact rational result; convert with float() as needed.
     """
-    return _exact_stats(config, policy)[0]
+    success, _, count = _exact_walk(config, policy)
+    return success / count
 
 
 def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
@@ -186,7 +178,8 @@ def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
     exact arithmetic, because a record accepted at stage n is the overall
     best with probability exactly n/N.
     """
-    return _exact_stats(config, policy)[1]
+    _, tau_mass, count = _exact_walk(config, policy)
+    return tau_mass / count
 
 
 def policy_success_probability(config: GameConfig, policy: PolicySpec) -> float:
@@ -196,20 +189,23 @@ def policy_success_probability(config: GameConfig, policy: PolicySpec) -> float:
     interview reveals a new maximum with probability 1/j independently, and
     an acceptance there hires the overall best with probability j/N; a blind
     acceptance hires the best with probability 1/N.  The recursion carries
-    the surviving probability mass across stages.  Used by the policy scan;
-    cross-checked against the exhaustive enumeration in the test suite.
+    the surviving probability mass across stages.  The policy scan runs the
+    same recursion; it is cross-checked against the exhaustive enumeration
+    in the test suite.
     """
-    policy.validate_for(config)
-    cost = config.cost
-    inv_n = 1.0 / config.n_applicants
+    reveals = policy.validate_for(config)
+    stages = list(zip(reveals, [float(q) for q in policy.accept_probs]))
+    return _stage_recursion(stages, config.n_applicants)
+
+
+def _stage_recursion(stages: Sequence[tuple[bool, float]], n_apps: int) -> float:
+    """Success probability of (reveals, acceptance probability) stages."""
+    inv_n = 1.0 / n_apps
     alive = 1.0
     total = 0.0
     j = 0
-    for q, learn in zip(policy.accept_probs, policy.learning):
-        q = float(q)
-        if learn:
-            if q < cost:  # nobody completes; the stage is inert
-                continue
+    for reveals, q in stages:
+        if reveals:
             j += 1
             total += alive * q * inv_n
             alive *= 1.0 - q / j
@@ -277,23 +273,12 @@ def optimality_scan(
             f"of {max_policies}"
         )
 
-    inv_n = 1.0 / n_apps
     best = -1.0
     kept: list[tuple[float, tuple]] = []
     n_max = 0
     truncated = False
     for combo in itertools.product(options, repeat=n_apps):
-        alive = 1.0
-        total = 0.0
-        j = 0
-        for learn, q in combo:
-            if learn:
-                j += 1
-                total += alive * q * inv_n
-                alive *= 1.0 - q / j
-            elif q > 0.0:
-                total += alive * q * inv_n
-                alive *= 1.0 - q
+        total = _stage_recursion(combo, n_apps)
         if total > best + 1e-12:
             best = total
             kept = [(total, combo)]
@@ -357,8 +342,7 @@ def full_learning_counterexample(
         raise ValueError(f"audit supports at most {_MAX_ENUM} applicants")
     if profile is None:
         profile = StrategyProfile.equilibrium(config)
-    if profile.n_stages != n_apps or profile.cost != config.cost:
-        raise ValueError("profile does not match the instance")
+    _check_profile(config, profile)
     for order in itertools.permutations(range(1, n_apps + 1)):
         max_y = 0
         max_theta = 0
@@ -396,8 +380,6 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
     recursion, as the average of the two stage-2 values.
     """
     n_apps = config.n_applicants
-    if n_apps > _MAX_ENUM:
-        raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
     stage = _as_count(stage, 1, "stage")
     if stage > n_apps:
         raise ValueError(f"stage must be in 1..{n_apps}, got {stage}")
@@ -408,37 +390,5 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
     policy = PolicySpec.equilibrium(config)
-    probs = [Fraction(p) for p in policy.accept_probs]
-    one = Fraction(1)
-    total = Fraction(0)
-    count = 0
-    for order in itertools.permutations(range(1, n_apps + 1)):
-        prefix_max = max(order[:stage])
-        if (order[stage - 1] == prefix_max) != (state == 1):
-            continue
-        count += 1
-        alive = one
-        revealed = prefix_max
-        acc = Fraction(0)
-        if state == 1:
-            q = probs[stage - 1]
-            if q:
-                win = alive * q
-                if order[stage - 1] == n_apps:
-                    acc += win
-                alive -= win
-        for idx in range(stage, n_apps):
-            if not alive:
-                break
-            rank = order[idx]
-            if rank <= revealed:
-                continue
-            revealed = rank
-            q = probs[idx]
-            if q:
-                win = alive * q
-                if rank == n_apps:
-                    acc += win
-                alive -= win
-        total += acc
-    return total / count
+    success, _, count = _exact_walk(config, policy, stage, state)
+    return success / count

@@ -20,16 +20,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .equilibrium import GameConfig, _as_count, _check_cost, compute_threshold
+from .equilibrium import GameConfig, _as_count, _check_cost, equilibrium_accept_probs
 
 __all__ = [
     "StageRule",
     "StrategyProfile",
-    "AbilityDraw",
     "GameTranscript",
     "AggregateStats",
     "IncentiveViolation",
@@ -41,7 +41,16 @@ __all__ = [
 ]
 
 _BATCH = 32768  # fixed batch width; part of the reproducibility contract
-_LEARN, _BLIND, _DEAD = 0, 1, 2
+
+
+def _reveals(learning: bool, accept_prob, cost, force_decline: bool = False) -> bool:
+    """Whether a current best at this stage completes the interview.
+
+    The one liveness rule of the simulator and the oracle: a learning stage
+    reveals unless its applicant is forced to decline or the record
+    acceptance falls short of the cost; a blind stage never reveals.
+    """
+    return learning and not force_decline and accept_prob >= cost
 
 
 @dataclass(frozen=True)
@@ -105,11 +114,7 @@ class StrategyProfile:
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
         """The solved full-learning profile: accept a current best with
         probability cost before the threshold stage and outright after."""
-        n_star = compute_threshold(config.n_applicants)
-        rules = tuple(
-            StageRule(True, config.cost if n < n_star else 1.0)
-            for n in range(1, config.n_applicants + 1)
-        )
+        rules = tuple(StageRule(True, q) for q in equilibrium_accept_probs(config))
         return cls(cost=config.cost, stages=rules)
 
     @classmethod
@@ -127,28 +132,32 @@ class StrategyProfile:
         """
         if len(acceptance_masses) != config.n_applicants:
             raise ValueError("need one acceptance mass per applicant")
-        rules = tuple(
-            StageRule(False, q) for q in _masses_to_stage_probs(acceptance_masses)
-        )
-        return cls(cost=config.cost, stages=rules)
+        probs = _masses_to_stage_probs([float(p) for p in acceptance_masses])
+        return cls(cost=config.cost, stages=tuple(StageRule(False, q) for q in probs))
 
 
-def _masses_to_stage_probs(masses: Sequence[float]) -> list[float]:
+def _masses_to_stage_probs(
+    masses: Sequence[float | Fraction],
+) -> list[float | Fraction]:
     """Unconditional acceptance masses -> conditional-on-reaching stage
-    probabilities: q_n = p_n / (1 - p_1 - ... - p_{n-1})."""
-    total = math.fsum(float(p) for p in masses)
-    if any(float(p) < 0.0 for p in masses):
+    probabilities: q_n = p_n / (1 - p_1 - ... - p_{n-1}).
+
+    The arithmetic stays in the masses' own number type: floats give floats,
+    Fractions give exact Fractions.  Masses must be non-negative with a total
+    (fsum for floats, exact for Fractions) of at most 1 + 1e-9; a stage
+    whose mass exceeds what remains accepts outright.
+    """
+    if any(p < 0 for p in masses):
         raise ValueError("acceptance masses must be non-negative")
+    exact = any(isinstance(p, Fraction) for p in masses)
+    total = sum(masses) if exact else math.fsum(masses)
     if total > 1.0 + 1e-9:
-        raise ValueError(f"acceptance masses sum to {total}, over 1")
+        raise ValueError(f"acceptance masses sum to {float(total)}, over 1")
+    one = Fraction(1) if exact else 1.0
     probs = []
-    remaining = 1.0
+    remaining = one
     for p in masses:
-        p = float(p)
-        if remaining <= 0.0:
-            probs.append(0.0)
-            continue
-        probs.append(min(p / remaining, 1.0))
+        probs.append(min(p / remaining, one) if remaining > 0 else 0 * one)
         remaining -= p
     return probs
 
@@ -165,25 +174,11 @@ def _check_profile(config: GameConfig, profile: StrategyProfile) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class AbilityDraw:
-    """Abilities of the N applicants: positive and pairwise distinct."""
-
-    abilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.abilities, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("abilities must be a 1-d array with at least 2 entries")
-        if not np.all(arr > 0.0):
-            raise ValueError("abilities must be strictly positive")
-        if len(set(arr.tolist())) != arr.size:
-            raise ValueError("abilities must be pairwise distinct")
-        object.__setattr__(self, "abilities", arr)
-
-
-def sample_abilities(n_applicants: int, rng: np.random.Generator) -> AbilityDraw:
+def sample_abilities(n_applicants: int, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. uniform abilities on (0, 1), redrawing exact collisions.
+
+    The returned 1-d array is positive and pairwise distinct by
+    construction.
 
     Only the rank order matters downstream; i.i.d. uniforms make every
     arrival order equally likely.
@@ -197,7 +192,7 @@ def sample_abilities(n_applicants: int, rng: np.random.Generator) -> AbilityDraw
             continue
         seen.add(x)
         values.append(x)
-    return AbilityDraw(np.asarray(values))
+    return np.asarray(values)
 
 
 def applicant_action(
@@ -215,9 +210,8 @@ def applicant_action(
     if past_output_max < 0.0:
         raise ValueError(f"past_output_max must be >= 0, got {past_output_max!r}")
     r = profile.rule(stage)
-    if r.force_decline or not r.learning:
-        return 0
-    return int(ability > past_output_max and r.accept_prob >= profile.cost)
+    revealing = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
+    return int(revealing and ability > past_output_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +239,7 @@ def play_game(
 ) -> GameTranscript:
     """Play one game forward and record the transcript."""
     _check_profile(config, profile)
-    draw = sample_abilities(config.n_applicants, rng)
-    theta = draw.abilities
+    theta = sample_abilities(config.n_applicants, rng)
     actions: list[int] = []
     outputs: list[float] = []
     accepted: Optional[int] = None
@@ -303,21 +296,21 @@ class AggregateStats:
 
 
 def _stage_plan(profile: StrategyProfile) -> tuple[np.ndarray, np.ndarray]:
-    kinds = np.empty(profile.n_stages, dtype=np.int8)
+    """Per-stage reveal flags and acceptance probabilities.
+
+    A learning stage that nobody completes accepts nothing, so it plays as
+    a blind stage with acceptance probability zero.
+    """
+    reveals = np.empty(profile.n_stages, dtype=bool)
     probs = np.empty(profile.n_stages, dtype=np.float64)
     for j, r in enumerate(profile.stages):
-        probs[j] = r.accept_prob
-        if not r.learning:
-            kinds[j] = _BLIND
-        elif r.force_decline or r.accept_prob < profile.cost:
-            kinds[j] = _DEAD
-        else:
-            kinds[j] = _LEARN
-    return kinds, probs
+        reveals[j] = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
+        probs[j] = r.accept_prob if reveals[j] or not r.learning else 0.0
+    return reveals, probs
 
 
 def _run_batch(
-    kinds: np.ndarray, probs: np.ndarray, size: int, key: int
+    reveals: np.ndarray, probs: np.ndarray, size: int, key: int
 ) -> tuple[int, int, int, int]:
     """Simulate one batch; returns integer totals (successes, acceptances,
     sum of stopping indices, sum of squared stopping indices)."""
@@ -327,28 +320,21 @@ def _run_batch(
     true_max = np.zeros(size)
     tau = np.zeros(size, dtype=np.int64)
     chosen = np.full(size, -1.0)
-    for j in range(kinds.size):
+    for j in range(reveals.size):
         theta = rng.random(size)
         u = rng.random(size)
         np.maximum(true_max, theta, out=true_max)
-        kind = kinds[j]
-        if kind == _DEAD:
-            continue
-        q = probs[j]
-        if kind == _LEARN:
+        eligible = alive
+        if reveals[j]:  # only a new best completes and may be accepted
             complete = theta > revealed_max
-            if q > 0.0:
-                newly = alive & complete & (u < q)
-                tau[newly] = j + 1
-                chosen[newly] = theta[newly]
-                alive &= ~newly
+            eligible = alive & complete
             np.copyto(revealed_max, theta, where=complete)
-        else:  # blind acceptance, nothing revealed
-            if q > 0.0:
-                newly = alive & (u < q)
-                tau[newly] = j + 1
-                chosen[newly] = theta[newly]
-                alive &= ~newly
+        q = probs[j]
+        if q > 0.0:
+            newly = eligible & (u < q)
+            tau[newly] = j + 1
+            chosen[newly] = theta[newly]
+            alive &= ~newly
     accepted = tau > 0
     success = accepted & (chosen == true_max)
     return (
@@ -377,12 +363,12 @@ def estimate(
     if seed >= 2**64:
         raise ValueError("seed must fit in 64 bits")
     workers = _as_count(workers, 1, "workers")
-    kinds, probs = _stage_plan(profile)
+    reveals, probs = _stage_plan(profile)
     n_batches = (trials + _BATCH - 1) // _BATCH
 
     def one(batch: int) -> tuple[int, int, int, int]:
         size = min(_BATCH, trials - batch * _BATCH)
-        return _run_batch(kinds, probs, size, key=(seed << 64) | batch)
+        return _run_batch(reveals, probs, size, key=(seed << 64) | batch)
 
     if workers == 1 or n_batches == 1:
         results = [one(b) for b in range(n_batches)]
@@ -435,7 +421,8 @@ def incentive_audit(
     out: list[IncentiveViolation] = []
     full_learning = all(r.learning for r in profile.stages)
     for n, r in enumerate(profile.stages, start=1):
-        if r.learning and r.accept_prob < config.cost:
+        completing_pays = _reveals(True, r.accept_prob, config.cost)
+        if r.learning and not completing_pays:
             out.append(
                 IncentiveViolation(
                     stage=n,
@@ -456,19 +443,15 @@ def incentive_audit(
                             detail="full-learning profile accepts a non-record output",
                         )
                     )
-        if r.learning:
-            completing_pays = r.accept_prob >= config.cost
-            completes = not r.force_decline and r.accept_prob >= config.cost
-            if completing_pays != completes:
-                out.append(
-                    IncentiveViolation(
-                        stage=n,
-                        code="completion-mismatch",
-                        detail=(
-                            "profile declines although completing pays"
-                            if completing_pays
-                            else "profile completes although completing loses"
-                        ),
-                    )
+        # Completing never happens unless it pays, so the only mismatch is a
+        # forced decline where completing pays.
+        completes = _reveals(r.learning, r.accept_prob, config.cost, r.force_decline)
+        if r.learning and completing_pays and not completes:
+            out.append(
+                IncentiveViolation(
+                    stage=n,
+                    code="completion-mismatch",
+                    detail="profile declines although completing pays",
                 )
+            )
     return out

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,3 +234,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("n,cost,n_star")
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.startswith("costly-secretary ")
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

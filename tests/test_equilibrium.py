@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from costly_secretary import (
     GameConfig,
-    build_policy,
     closed_form_success,
     compute_threshold,
     compute_threshold_sequence,
+    equilibrium_accept_probs,
     expected_stopping_time,
     record_survival_product,
     solve_values,
@@ -96,12 +96,6 @@ class TestSolveValues:
         t = solve_values(GameConfig(17, 0.4))
         assert t.success_probability == t.v1[1]
 
-    def test_unnormalized_tables(self):
-        t = solve_values(GameConfig(9, 0.2))
-        n = np.arange(1, 10)
-        assert np.allclose(t.unnormalized_v0[1:], n * t.v0[1:], rtol=0, atol=0)
-        assert np.allclose(t.unnormalized_v1[1:], n * t.v1[1:], rtol=0, atol=0)
-
     @pytest.mark.parametrize("cost", COST_GRID)
     def test_monotonicity_and_bounds(self, cost):
         for n_apps in (2, 3, 7, 25, 120):
@@ -152,37 +146,22 @@ class TestSolveValues:
 
 
 class TestBuildPolicy:
+    """The solved plan, equilibrium_accept_probs, at stages 1..N."""
+
     def test_three_applicants_half_cost(self):
-        cfg = GameConfig(3, 0.5)
-        policy = build_policy(cfg, solve_values(cfg))
-        assert policy.accept_record[1:].tolist() == [0.5, 1.0, 1.0]
-        assert policy.accept_nonrecord == 0.0
+        assert equilibrium_accept_probs(GameConfig(3, 0.5)) == [0.5, 1.0, 1.0]
 
     def test_two_applicants_no_cost(self):
-        cfg = GameConfig(2, 0.0)
-        policy = build_policy(cfg, solve_values(cfg))
-        assert policy.accept_record[1:].tolist() == [1.0, 1.0]
+        assert equilibrium_accept_probs(GameConfig(2, 0.0)) == [1.0, 1.0]
 
     def test_ten_applicants(self):
-        cfg = GameConfig(10, 0.1)
-        policy = build_policy(cfg, solve_values(cfg))
-        for n in range(1, 4):
-            assert policy.accept_record[n] == 0.1
-        for n in range(4, 11):
-            assert policy.accept_record[n] == 1.0
+        accept = equilibrium_accept_probs(GameConfig(10, 0.1))
+        assert accept == [0.1] * 3 + [1.0] * 7
 
     def test_incentive_floor(self):
         for cost in COST_GRID:
-            cfg = GameConfig(30, cost)
-            policy = build_policy(cfg, solve_values(cfg))
-            assert np.all(policy.accept_record[1:] >= cost)
-
-    def test_mismatched_tables_rejected(self):
-        tables = solve_values(GameConfig(5, 0.2))
-        with pytest.raises(ValueError):
-            build_policy(GameConfig(5, 0.3), tables)
-        with pytest.raises(ValueError):
-            build_policy(GameConfig(6, 0.2), tables)
+            accept = equilibrium_accept_probs(GameConfig(30, cost))
+            assert min(accept) >= cost
 
 
 class TestRecordSurvivalProduct:
@@ -256,11 +235,8 @@ class TestClosedForms:
             assert closed_form_success(GameConfig(n_apps, 0.0)) == pytest.approx(
                 classic, abs=1e-12
             )
-            policy = build_policy(
-                GameConfig(n_apps, 0.0), solve_values(GameConfig(n_apps, 0.0))
-            )
-            assert np.all(policy.accept_record[1:n_star] == 0.0)
-            assert np.all(policy.accept_record[n_star:] == 1.0)
+            accept = equilibrium_accept_probs(GameConfig(n_apps, 0.0))
+            assert accept == [0.0] * (n_star - 1) + [1.0] * (n_apps - n_star + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,5 +261,6 @@ def test_solution_invariants(n_apps, cost):
     assert abs(
         expected_stopping_time(cfg) - n_apps * closed_form_success(cfg)
     ) <= 1e-12
-    policy = build_policy(cfg, tables)
-    assert np.all(policy.accept_record[1:] >= cost)
+    accept = equilibrium_accept_probs(cfg)
+    assert accept.index(1.0) == n_star - 1
+    assert min(accept) >= cost

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from costly_secretary import (
     StageRule,
     StrategyProfile,
     closed_form_success,
+    estimate,
     exact_expected_tau,
     exact_state_value,
     exact_success_probability,
@@ -243,3 +245,55 @@ class TestExactStateValue:
             exact_state_value(cfg, 5, 0)
         with pytest.raises(ValueError):
             exact_state_value(cfg, 1, 2)
+
+
+class TestMassConversion:
+    """The simulator and the oracle convert acceptance masses by one rule."""
+
+    @pytest.mark.parametrize(
+        "masses", [[1.0, 6e-10, 6e-10], [0.5, 0.5, 0.5], [-0.1, 0.6, 0.4]]
+    )
+    def test_rejected_by_both(self, masses):
+        with pytest.raises(ValueError):
+            StrategyProfile.no_learning(GameConfig(len(masses), 0.1), masses)
+        with pytest.raises(ValueError):
+            PolicySpec.from_acceptance_masses(masses)
+
+    def test_accepted_by_both(self):
+        masses = [0.5, 0.5 + 8e-10]
+        blind = StrategyProfile.no_learning(GameConfig(2, 0.1), masses)
+        assert [r.accept_prob for r in blind.stages] == [0.5, 1.0]
+        policy = PolicySpec.from_acceptance_masses(masses)
+        assert policy.accept_probs == (Fraction(1, 2), Fraction(1))
+
+    @pytest.mark.parametrize("masses", [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
+    def test_float_masses_keep_float_bits(self, masses):
+        expected = []
+        remaining = 1.0
+        for p in masses:
+            expected.append(min(p / remaining, 1.0))
+            remaining -= p
+        blind = StrategyProfile.no_learning(GameConfig(4, 0.1), masses)
+        assert [r.accept_prob for r in blind.stages] == expected
+
+    def test_fraction_masses_stay_exact(self):
+        policy = PolicySpec.from_acceptance_masses([0.25] * 4)
+        assert policy.accept_probs == tuple(Fraction(1, k) for k in (4, 3, 2, 1))
+        assert all(isinstance(q, Fraction) for q in policy.accept_probs)
+
+
+def test_enumeration_and_monte_carlo_never_call_the_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an independent check called the solver")
+
+    for name, module in list(sys.modules.items()):
+        if name == "costly_secretary" or name.startswith("costly_secretary."):
+            for attr in ("solve_values", "closed_form_success", "expected_stopping_time"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    cfg = GameConfig(5, 0.3)
+    policy = PolicySpec.equilibrium(cfg)
+    assert exact_success_probability(cfg, policy) > 0
+    assert exact_expected_tau(cfg, policy) > 0
+    assert exact_state_value(cfg, 2, 1) > 0
+    assert estimate(cfg, StrategyProfile.equilibrium(cfg), 1000, 0).trials == 1000
