@@ -111,8 +111,8 @@ def convergence_report(
     """Solve each instance size and report scaled values and thresholds.
 
     ``n_list`` must be non-empty and strictly ascending with every entry at
-    least 2.  The default 5% tolerance is an empirical acceptance threshold,
-    not a proved rate.
+    least 2, and ``tolerance`` must be positive and finite.  The default 5%
+    tolerance is an empirical acceptance threshold, not a proved rate.
     """
     cost = _check_cost(cost)
     sizes = [_as_count(n, 2, "n_list entry") for n in n_list]
@@ -120,6 +120,8 @@ def convergence_report(
         raise ValueError("n_list must be non-empty and strictly ascending")
     if not 0.0 < tolerance:
         raise ValueError("tolerance must be positive")
+    if tolerance == math.inf:
+        raise ValueError("tolerance must be finite")
     samples = []
     thresholds = []
     for n_apps in sizes:

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,29 +39,10 @@ from .oracle import (
 )
 from .simulator import StrategyProfile, estimate
 
-__all__ = ["RunSpec", "run", "main"]
+__all__ = ["run", "main"]
 
 _USAGE_ERROR = 2
 _VERIFICATION_ERROR = 3
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One fully-specified invocation of the tool."""
-
-    command: str
-    n: Optional[int] = None
-    cost: Optional[float] = None
-    n_range: tuple[int, ...] = ()
-    cost_list: tuple[float, ...] = ()
-    trials: int = 0
-    seed: int = 0
-    workers: int = 1
-    grid_step: Optional[float] = None
-    tolerance: Optional[float] = None
-    tables: bool = False
-    output_format: str = "csv"
-    output_path: Optional[str] = None
 
 
 def _fmt(value) -> str:
@@ -75,8 +55,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], meta: dict, spec: RunSpec) -> None:
-    if spec.output_format == "json":
+def _emit(rows: list[dict], meta: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = {"meta": meta, "rows": rows}
         text = json.dumps(payload, indent=2, allow_nan=False, default=_fmt) + "\n"
     else:
@@ -87,23 +67,23 @@ def _emit(rows: list[dict], meta: dict, spec: RunSpec) -> None:
             for row in rows:
                 lines.append(",".join(_fmt(row[k]) for k in header))
         text = "\n".join(lines) + "\n"
-    if spec.output_path:
-        with open(spec.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _meta(spec: RunSpec, **extra) -> dict:
-    meta = {"tool": "costly-secretary", "version": __version__, "command": spec.command}
+def _meta(args: argparse.Namespace, **extra) -> dict:
+    meta = {"tool": "costly-secretary", "version": __version__, "command": args.command}
     meta.update(extra)
     return meta
 
 
-def _run_solve(spec: RunSpec) -> int:
-    config = GameConfig(spec.n, spec.cost)
+def _run_solve(args: argparse.Namespace) -> int:
+    config = GameConfig(args.n, args.cost)
     tables = solve_values(config)
-    if spec.tables:
+    if args.tables:
         rows = [
             {
                 "stage": n,
@@ -126,15 +106,17 @@ def _run_solve(spec: RunSpec) -> int:
                 "accept_nonrecord": 0.0,
             }
         ]
-    _emit(rows, _meta(spec), spec)
+    _emit(rows, _meta(args), args)
     return 0
 
 
-def _run_sweep(spec: RunSpec) -> int:
+def _run_sweep(args: argparse.Namespace) -> int:
+    n_range = _parse_n_range(args.n_range, args.log_spaced)
+    cost_list = _parse_cost_list(args.cost_list)
     rows = []
-    for cost in spec.cost_list:
+    for cost in cost_list:
         asymptote_scale = limit_constant(cost)
-        for n_apps in spec.n_range:
+        for n_apps in n_range:
             config = GameConfig(n_apps, cost)
             tables = solve_values(config)
             pi = tables.success_probability
@@ -149,16 +131,16 @@ def _run_sweep(spec: RunSpec) -> int:
                     "expected_tau": expected_stopping_time(config),
                 }
             )
-    _emit(rows, _meta(spec), spec)
+    _emit(rows, _meta(args), args)
     return 0
 
 
-def _run_asymptotics(spec: RunSpec) -> int:
-    tolerance = spec.tolerance if spec.tolerance is not None else 0.05
-    report = convergence_report(spec.cost, spec.n_range, tolerance=tolerance)
+def _run_asymptotics(args: argparse.Namespace) -> int:
+    n_range = _parse_n_range(args.n_range, args.log_spaced)
+    report = convergence_report(args.cost, n_range, tolerance=args.tolerance)
     rows = []
-    for (n_apps, scaled), (_, n_star, lower, upper) in zip(
-        report.samples, report.threshold_samples
+    for (n_apps, scaled), (_, n_star, lower, upper), deviation in zip(
+        report.samples, report.threshold_samples, report.deviations()
     ):
         rows.append(
             {
@@ -168,18 +150,17 @@ def _run_asymptotics(spec: RunSpec) -> int:
                 "threshold_upper": upper,
                 "scaled_pi": scaled,
                 "limit_constant": report.limit_constant,
-                "relative_deviation": abs(scaled - report.limit_constant)
-                / report.limit_constant,
+                "relative_deviation": deviation,
             }
         )
     meta = _meta(
-        spec,
+        args,
         cost=report.cost,
         limit_constant=report.limit_constant,
         tolerance=report.tolerance,
         note=report.note,
     )
-    _emit(rows, meta, spec)
+    _emit(rows, meta, args)
     violations = report.violations()
     if violations:
         for v in violations:
@@ -189,10 +170,10 @@ def _run_asymptotics(spec: RunSpec) -> int:
     return 0
 
 
-def _run_simulate(spec: RunSpec) -> int:
-    config = GameConfig(spec.n, spec.cost)
+def _run_simulate(args: argparse.Namespace) -> int:
+    config = GameConfig(args.n, args.cost)
     profile = StrategyProfile.equilibrium(config)
-    stats = estimate(config, profile, spec.trials, spec.seed, workers=spec.workers)
+    stats = estimate(config, profile, args.trials, args.seed, workers=args.workers)
     mean_tau_cond = stats.mean_tau_conditional
     rows = [
         {
@@ -208,13 +189,15 @@ def _run_simulate(spec: RunSpec) -> int:
             "tau_se": stats.tau_se,
         }
     ]
-    _emit(rows, _meta(spec, seed=spec.seed), spec)
+    _emit(rows, _meta(args, seed=args.seed), args)
     return 0
 
 
-def _run_oracle(spec: RunSpec) -> int:
-    config = GameConfig(spec.n, spec.cost)
-    tolerance = spec.tolerance if spec.tolerance is not None else 1e-12
+def _run_oracle(args: argparse.Namespace) -> int:
+    config = GameConfig(args.n, args.cost)
+    tolerance = args.tolerance
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     tables = solve_values(config)
     dp = tables.success_probability
     closed = closed_form_success(config)
@@ -243,16 +226,16 @@ def _run_oracle(spec: RunSpec) -> int:
         check("full_learning_audit", 1.0 if audit_ok else 0.0, 1.0, tol=0.0),
     ]
     scan_failed = False
-    if spec.grid_step is not None:
+    if args.grid_step is not None:
         try:
-            report = optimality_scan(config, spec.grid_step)
+            report = optimality_scan(config, args.grid_step)
             rows.append(
                 check("scan_max_vs_dp", report.max_success, report.dp_success)
             )
         except VerificationError as exc:
             print(f"optimality scan failed: {exc}", file=sys.stderr)
             scan_failed = True
-    _emit(rows, _meta(spec, tolerance=tolerance), spec)
+    _emit(rows, _meta(args, tolerance=tolerance), args)
     failed = scan_failed or any(r["status"] == "fail" for r in rows)
     if failed:
         for r in rows:
@@ -262,22 +245,10 @@ def _run_oracle(spec: RunSpec) -> int:
     return 0
 
 
-_DISPATCH = {
-    "solve": _run_solve,
-    "sweep": _run_sweep,
-    "asymptotics": _run_asymptotics,
-    "simulate": _run_simulate,
-    "oracle": _run_oracle,
-}
-
-
-def run(spec: RunSpec) -> int:
-    """Execute a fully-parsed invocation; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed invocation; returns the process exit code."""
     try:
-        return _DISPATCH[spec.command](spec)
-    except KeyError:
-        print(f"unknown command {spec.command!r}", file=sys.stderr)
-        return _USAGE_ERROR
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
@@ -332,19 +303,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--tables", action="store_true", help="emit per-stage values")
     add_io(p)
+    p.set_defaults(handler=_run_solve)
 
     p = sub.add_parser("sweep", help="solve a grid of instances")
     p.add_argument("--n-range", required=True, help="A:B, A:B:STEP, or A:B:COUNT with --log-spaced")
     p.add_argument("--cost-list", required=True, help="comma-separated costs")
     p.add_argument("--log-spaced", action="store_true")
     add_io(p)
+    p.set_defaults(handler=_run_sweep)
 
     p = sub.add_parser("asymptotics", help="convergence report for one cost")
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--n-range", required=True)
     p.add_argument("--log-spaced", action="store_true")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=0.05)
     add_io(p)
+    p.set_defaults(handler=_run_asymptotics)
 
     p = sub.add_parser("simulate", help="Monte Carlo under the solved profile")
     p.add_argument("--n", type=int, required=True)
@@ -353,28 +327,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     add_io(p)
+    p.set_defaults(handler=_run_simulate)
 
     p = sub.add_parser("oracle", help="exact verification of one instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--grid-step", type=float, default=None, help="also run the policy scan")
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=float, default=1e-12)
     add_io(p)
+    p.set_defaults(handler=_run_oracle)
 
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    # Each subcommand defines only its own flags; RunSpec defaults the rest.
-    fields = dict(vars(args))
-    fields["output_format"] = fields.pop("format")
-    fields["output_path"] = fields.pop("out")
-    log_spaced = fields.pop("log_spaced", False)
-    n_range = fields.get("n_range")
-    fields["n_range"] = _parse_n_range(n_range, log_spaced) if n_range else ()
-    cost_list = fields.get("cost_list")
-    fields["cost_list"] = _parse_cost_list(cost_list) if cost_list else ()
-    return RunSpec(**fields)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -383,12 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else _USAGE_ERROR
-    try:
-        spec = _spec_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    return run(spec)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -204,8 +204,6 @@ def record_survival_product(n: int, cost: float) -> float:
     """
     n = _as_count(n, 0, "n")
     cost = _check_cost(cost)
-    if n == 0:
-        return 1.0
     return float(np.prod(1.0 - cost / np.arange(1.0, n + 1.0)))
 
 
@@ -228,12 +226,9 @@ def _acceptance_mass(config: GameConfig) -> float:
         for n in range(n_apps, 0, -1):
             value = 1.0 / n_apps + (1.0 - 1.0 / n) * value
         return n_apps * value
-    if n_star == 2:
-        survivals = [1.0]
-    else:
-        survivals = np.concatenate(
-            ([1.0], np.cumprod(1.0 - cost / np.arange(1.0, n_star - 1.0)))
-        ).tolist()
+    survivals = np.concatenate(
+        ([1.0], np.cumprod(1.0 - cost / np.arange(1.0, n_star - 1.0)))
+    ).tolist()
     pre_sum = math.fsum(survivals)  # sum of S_0 .. S_{n*-2}
     survival_at_threshold = survivals[-1] * (1.0 - cost / (n_star - 1))
     tail_sum = math.fsum(1.0 / m for m in range(n_star - 1, n_apps))

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _MAX_ENUM = 10
+_MAX_POLICIES = 5_000_000
+_MAX_KEPT = 256
 Prob = Union[float, Fraction]
 
 
@@ -217,7 +219,11 @@ def _stage_recursion(stages: Sequence[tuple[bool, float]], n_apps: int) -> float
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of an exhaustive policy-space scan."""
+    """Outcome of an exhaustive policy-space scan.
+
+    ``maximizers`` holds the first ``_MAX_KEPT`` of the ``n_maximizers``
+    policies that tie for the maximum.
+    """
 
     config: GameConfig
     grid_step: float
@@ -225,25 +231,20 @@ class ScanReport:
     max_success: float
     n_maximizers: int
     maximizers: tuple[PolicySpec, ...]
-    maximizers_truncated: bool
     equilibrium_success: float
     dp_success: float
     equilibrium_attains_max: bool
 
 
-def optimality_scan(
-    config: GameConfig,
-    grid_step: float,
-    max_policies: int = 5_000_000,
-    max_kept: int = 256,
-) -> ScanReport:
+def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     """Scan every gridded policy and verify none beats the solved one.
 
     Each stage independently either learns with record-acceptance in
     {cost, cost+step, ..., 1}, rejects outright, or accepts blindly with a
     probability from {0} plus the same grid.  Raises VerificationError if
     any scanned policy exceeds the solved success probability by more than
-    1e-12 or if the solved policy misses the scan maximum.  A grid scan is
+    1e-12 or if the solved policy misses the scan maximum, and ValueError if
+    the grid holds more than ``_MAX_POLICIES`` policies.  A grid scan is
     evidence, not proof: deviations off the grid are not examined.
     """
     if config.n_applicants > 8:
@@ -267,30 +268,25 @@ def optimality_scan(
     options.extend((False, q) for q in qgrid)
 
     n_policies = len(options) ** n_apps
-    if n_policies > max_policies:
+    if n_policies > _MAX_POLICIES:
         raise ValueError(
             f"scan would evaluate {n_policies} policies, over the budget "
-            f"of {max_policies}"
+            f"of {_MAX_POLICIES}"
         )
 
     best = -1.0
-    kept: list[tuple[float, tuple]] = []
+    kept: list[tuple] = []
     n_max = 0
-    truncated = False
     for combo in itertools.product(options, repeat=n_apps):
         total = _stage_recursion(combo, n_apps)
         if total > best + 1e-12:
             best = total
-            kept = [(total, combo)]
+            kept = [combo]
             n_max = 1
-            truncated = False
         elif total >= best - 1e-12:
             n_max += 1
-            if len(kept) < max_kept:
-                kept.append((total, combo))
-            else:
-                truncated = True
-    kept = [(v, combo) for v, combo in kept if v >= best - 1e-12]
+            if len(kept) < _MAX_KEPT:
+                kept.append(combo)
 
     dp_success = solve_values(config).success_probability
     eq_policy = PolicySpec.equilibrium(config)
@@ -311,7 +307,7 @@ def optimality_scan(
             accept_probs=tuple(q for _, q in combo),
             learning=tuple(learn for learn, _ in combo),
         )
-        for _, combo in kept
+        for combo in kept
     )
     return ScanReport(
         config=config,
@@ -320,7 +316,6 @@ def optimality_scan(
         max_success=best,
         n_maximizers=n_max,
         maximizers=maximizers,
-        maximizers_truncated=truncated,
         equilibrium_success=eq_success,
         dp_success=dp_success,
         equilibrium_attains_max=attains,

@@ -412,14 +412,14 @@ def incentive_audit(
     """Check the profile's incentive constraints stage by stage.
 
     Flags learning stages whose record-acceptance probability falls short of
-    the cost, nonzero acceptance of non-record outputs in a full-learning
-    profile, and stages whose completion behavior contradicts the sign of
-    the applicant's payoff from completing.  Returns an empty list for the
-    solved profile and for pure blind-acceptance profiles.
+    the cost, and stages whose completion behavior contradicts the sign of
+    the applicant's payoff from completing.  A learning stage never accepts
+    a non-record output (see ``StrategyProfile.admin_acceptance``), so that
+    needs no check.  Returns an empty list for the solved profile and for
+    pure blind-acceptance profiles.
     """
     _check_profile(config, profile)
     out: list[IncentiveViolation] = []
-    full_learning = all(r.learning for r in profile.stages)
     for n, r in enumerate(profile.stages, start=1):
         completing_pays = _reveals(True, r.accept_prob, config.cost)
         if r.learning and not completing_pays:
@@ -433,16 +433,6 @@ def incentive_audit(
                     ),
                 )
             )
-        if full_learning:
-            for positive in (False, True):
-                if profile.admin_acceptance(n, False, positive) != 0.0:
-                    out.append(
-                        IncentiveViolation(
-                            stage=n,
-                            code="nonrecord-acceptance-nonzero",
-                            detail="full-learning profile accepts a non-record output",
-                        )
-                    )
         # Completing never happens unless it pays, so the only mismatch is a
         # forced decline where completing pays.
         completes = _reveals(r.learning, r.accept_prob, config.cost, r.force_decline)

@@ -171,6 +171,9 @@ class TestConvergenceReport:
             convergence_report(0.1, [100, 10])
         with pytest.raises(ValueError):
             convergence_report(1.2, [10, 100])
+        for tolerance in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                convergence_report(0.1, [10, 100], tolerance=tolerance)
 
 
 @settings(max_examples=80, deadline=None)

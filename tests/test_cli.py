@@ -14,7 +14,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
-from costly_secretary.cli import RunSpec, main, run
+from costly_secretary.cli import main
 
 
 def capture(capsys, argv):
@@ -95,6 +95,17 @@ class TestSweep:
         assert code == 0
         sizes = [int(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
         assert sizes == [10, 100, 1000, 10000]
+
+    @pytest.mark.parametrize(
+        "n_range, cost_list", [("", "0.1"), ("2:5", ""), ("2:5", ",")]
+    )
+    def test_empty_range_or_cost_list_is_a_usage_error(self, capsys, n_range, cost_list):
+        code, out, err = capture(
+            capsys, ["sweep", "--n-range", n_range, "--cost-list", cost_list]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_identical_invocations_identical_bytes(self, capsys):
         argv = ["sweep", "--n-range", "2:40", "--cost-list", "0,0.5"]
@@ -177,6 +188,27 @@ class TestOracleCommand:
         assert code == 3
         assert "verification failed" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, tolerance, fmt):
+        code, out, err = capture(
+            capsys,
+            ["oracle", "--n", "3", "--cost", "0.1", "--tolerance", tolerance,
+             "--format", fmt],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and non-negative")
+
+    def test_scan_over_budget_is_a_usage_error(self, capsys):
+        code, out, err = capture(
+            capsys, ["oracle", "--n", "6", "--cost", "0.4", "--grid-step", "0.1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "11390625 policies" in err and "5000000" in err
+
 
 class TestAsymptoticsCommand:
     def test_report(self, capsys):
@@ -201,6 +233,17 @@ class TestAsymptoticsCommand:
         assert code == 3
         assert "failed" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_infinite_tolerance_is_a_usage_error(self, capsys, fmt):
+        code, out, err = capture(
+            capsys,
+            ["asymptotics", "--cost", "0.5", "--n-range", "10:20",
+             "--tolerance", "inf", "--format", fmt],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerance must be finite\n"
+
 
 class TestFileOutput:
     def test_out_writes_identical_bytes(self, tmp_path, capsys):
@@ -215,11 +258,9 @@ class TestFileOutput:
         assert target.read_bytes() == first
         capsys.readouterr()
 
-    def test_run_spec_directly(self, tmp_path):
-        spec = RunSpec(
-            command="solve", n=5, cost=0.2, output_path=str(tmp_path / "s.csv")
-        )
-        assert run(spec) == 0
+    def test_out_path_gets_solve_rows(self, tmp_path):
+        argv = ["solve", "--n", "5", "--cost", "0.2", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 0
         text = (tmp_path / "s.csv").read_text()
         assert text.endswith("\n")
         assert text.splitlines()[0].startswith("n,cost,n_star")

@@ -174,8 +174,6 @@ class TestOptimalityScan:
             optimality_scan(GameConfig(9, 0.2), grid_step=0.25)
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(3, 0.2), grid_step=0.3)
-        with pytest.raises(ValueError):
-            optimality_scan(GameConfig(4, 0.2), grid_step=0.25, max_policies=10)
 
 
 class TestFullLearningAudit:
