@@ -198,6 +198,14 @@ def _run_oracle(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    # The scan checks its grid before any work; run it first so that a bad
+    # --grid-step fails fast, and report its outcome after the other rows.
+    scan = None
+    if args.grid_step is not None:
+        try:
+            scan = optimality_scan(config, args.grid_step)
+        except VerificationError as exc:
+            scan = exc
     tables = solve_values(config)
     dp = tables.success_probability
     closed = closed_form_success(config)
@@ -225,16 +233,11 @@ def _run_oracle(args: argparse.Namespace) -> int:
         check("enumeration_tau_vs_n_pi", enum_tau, config.n_applicants * enum_pi),
         check("full_learning_audit", 1.0 if audit_ok else 0.0, 1.0, tol=0.0),
     ]
-    scan_failed = False
-    if args.grid_step is not None:
-        try:
-            report = optimality_scan(config, args.grid_step)
-            rows.append(
-                check("scan_max_vs_dp", report.max_success, report.dp_success)
-            )
-        except VerificationError as exc:
-            print(f"optimality scan failed: {exc}", file=sys.stderr)
-            scan_failed = True
+    scan_failed = isinstance(scan, VerificationError)
+    if scan_failed:
+        print(f"optimality scan failed: {scan}", file=sys.stderr)
+    elif scan is not None:
+        rows.append(check("scan_max_vs_dp", scan.max_success, scan.dp_success))
     _emit(rows, _meta(args, tolerance=tolerance), args)
     failed = scan_failed or any(r["status"] == "fail" for r in rows)
     if failed:

@@ -3,10 +3,11 @@
 Everything here is deliberately independent of the backward-induction
 solver: success probabilities are obtained by enumerating all N! arrival
 orders and propagating acceptance probabilities analytically along each
-order, in exact rational arithmetic.  On top of that sit a fast per-policy
-stage recursion (cross-checked against the enumeration), an exhaustive
-policy-space scan that looks for anything beating the solved policy, and a
-prefix audit of the full-learning property.
+order, in exact rational arithmetic.  The same walk over the orders, run
+on a profile's float stage plan, audits the full-learning property on
+every reachable prefix.  On top of that sit a fast per-policy stage
+recursion (cross-checked against the enumeration) and an exhaustive
+policy-space scan that looks for anything beating the solved policy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .simulator import (
     _check_profile,
     _masses_to_stage_probs,
     _reveals,
-    applicant_action,
+    _stage_plan,
 )
 
 __all__ = [
@@ -115,31 +116,42 @@ class PolicySpec:
         return reveals
 
 
+def _exact_plan(
+    config: GameConfig, policy: PolicySpec
+) -> tuple[list[bool], list[Fraction]]:
+    """The policy's stage plan in exact arithmetic (floats enter exactly)."""
+    return policy.validate_for(config), [Fraction(q) for q in policy.accept_probs]
+
+
 def _exact_walk(
-    config: GameConfig, policy: PolicySpec, stage: int = 1, state: int = 1
-) -> tuple[Fraction, Fraction, int]:
+    reveals: Sequence[bool], probs: Sequence[Prob], stage: int = 1, state: int = 1
+) -> tuple[Prob, Prob, int, Optional[tuple[tuple[int, ...], int]]]:
     """Walk, from ``stage`` on, every arrival order in which the stage's
     applicant is (state 1) or is not (state 0) the best so far; from stage 1
     in state 1 that is all N! orders.
 
-    Per order the only randomness left is the administrator's coin flips, so
-    the walk carries the surviving probability mass along the order and
-    accumulates hiring-the-best and stopping-index mass at each acceptance
-    opportunity.  All arithmetic is rational (floats enter exactly).
-    Returns the summed success and stopping-index masses and the number of
-    orders walked.
+    ``reveals`` and ``probs`` are a stage plan: at a revealing stage only a
+    new best completes and may be accepted, at any other stage the
+    acceptance is blind.  Per order the only randomness left is the
+    administrator's coin flips, so the walk carries the surviving
+    probability mass along the order and accumulates hiring-the-best and
+    stopping-index mass at each acceptance opportunity, in the number type
+    of ``probs``.  Returns the summed success and stopping-index masses, the
+    number of orders walked, and the first (rank order, stage) at which a
+    non-revealing stage holds a new best on a reachable prefix (None if
+    there is none).  A prefix behind a certain acceptance is unreachable.
     """
-    reveals = policy.validate_for(config)
-    n_apps = config.n_applicants
+    n_apps = len(probs)
     if n_apps > _MAX_ENUM:
         raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
-    probs = [Fraction(q) for q in policy.accept_probs]
     start = stage - 1
     want_best = state == 1
-    one = Fraction(1)
-    success = Fraction(0)
-    tau_mass = Fraction(0)
+    one = type(probs[0])(1)
+    zero = 0 * one
+    success = zero
+    tau_mass = zero
     count = 0
+    first = None
     for order in itertools.permutations(range(1, n_apps + 1)):
         revealed = max(order[:start], default=0)
         if (order[start] > revealed) != want_best:
@@ -152,6 +164,8 @@ def _exact_walk(
                 if rank <= revealed:
                     continue
                 revealed = rank
+            elif first is None and rank > revealed:
+                first = order, idx + 1
             q = probs[idx]
             if q:
                 win = alive * q
@@ -159,9 +173,11 @@ def _exact_walk(
                     success += win
                 tau_mass += win * (idx + 1)
                 alive -= win
+                # Exact for floats too: alive * q rounds below alive when
+                # q < 1, and ten stages cannot underflow, so only q == 1 ends.
                 if not alive:
                     break
-    return success, tau_mass, count
+    return success, tau_mass, count, first
 
 
 def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fraction:
@@ -169,7 +185,7 @@ def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fractio
 
     Exact rational result; convert with float() as needed.
     """
-    success, _, count = _exact_walk(config, policy)
+    success, _, count, _ = _exact_walk(*_exact_plan(config, policy))
     return success / count
 
 
@@ -180,7 +196,7 @@ def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
     exact arithmetic, because a record accepted at stage n is the overall
     best with probability exactly n/N.
     """
-    _, tau_mass, count = _exact_walk(config, policy)
+    _, tau_mass, count, _ = _exact_walk(*_exact_plan(config, policy))
     return tau_mass / count
 
 
@@ -329,32 +345,14 @@ def full_learning_counterexample(
     maximum of outputs differs from the running maximum of abilities.
 
     Returns (rank order, stage) for the first violating prefix, or None.
-    Prefixes behind a certain acceptance (probability one) are unreachable
-    and are not checked.
+    The prefix breaks exactly where a stage that reveals nothing holds a new
+    best.  Prefixes behind a certain acceptance (probability one) are
+    unreachable and are not checked.
     """
-    n_apps = config.n_applicants
-    if n_apps > _MAX_ENUM:
-        raise ValueError(f"audit supports at most {_MAX_ENUM} applicants")
     if profile is None:
         profile = StrategyProfile.equilibrium(config)
     _check_profile(config, profile)
-    for order in itertools.permutations(range(1, n_apps + 1)):
-        max_y = 0
-        max_theta = 0
-        for n in range(1, n_apps + 1):
-            rank = order[n - 1]
-            act = applicant_action(profile, n, float(rank), float(max_y))
-            y = rank if act else 0
-            p = profile.admin_acceptance(n, y > max_y, y > 0)
-            if y > max_y:
-                max_y = y
-            if rank > max_theta:
-                max_theta = rank
-            if max_y != max_theta:
-                return order, n
-            if p >= 1.0:
-                break  # the game surely ends here; deeper prefixes unreachable
-    return None
+    return _exact_walk(*_stage_plan(profile))[3]
 
 
 def full_learning_audit(
@@ -384,6 +382,6 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
         return (
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
-    policy = PolicySpec.equilibrium(config)
-    success, _, count = _exact_walk(config, policy, stage, state)
+    plan = _exact_plan(config, PolicySpec.equilibrium(config))
+    success, _, count, _ = _exact_walk(*plan, stage, state)
     return success / count

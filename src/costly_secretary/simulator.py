@@ -34,7 +34,6 @@ __all__ = [
     "AggregateStats",
     "IncentiveViolation",
     "sample_abilities",
-    "applicant_action",
     "play_game",
     "estimate",
     "incentive_audit",
@@ -94,21 +93,6 @@ class StrategyProfile:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
-
-    def rule(self, stage: int) -> StageRule:
-        """Rule for 1-based stage number."""
-        if not 1 <= stage <= len(self.stages):
-            raise ValueError(f"stage must be in 1..{len(self.stages)}, got {stage}")
-        return self.stages[stage - 1]
-
-    def admin_acceptance(
-        self, stage: int, is_new_strict_max: bool, output_positive: bool
-    ) -> float:
-        """Acceptance probability given the outcome classification."""
-        r = self.rule(stage)
-        if r.learning:
-            return r.accept_prob if (is_new_strict_max and output_positive) else 0.0
-        return r.accept_prob
 
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
@@ -174,6 +158,24 @@ def _check_profile(config: GameConfig, profile: StrategyProfile) -> None:
         )
 
 
+def _stage_plan(profile: StrategyProfile) -> tuple[list[bool], list[float]]:
+    """Per-stage reveal flags and acceptance probabilities: the one reading
+    of a profile that forward play, Monte Carlo and the prefix audit share.
+
+    At a revealing stage only a new best completes, and only a completed
+    interview may be accepted.  A learning stage that nobody completes
+    accepts nothing, so it plays as a blind stage with acceptance
+    probability zero.
+    """
+    reveals = []
+    probs = []
+    for r in profile.stages:
+        live = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
+        reveals.append(live)
+        probs.append(r.accept_prob if live or not r.learning else 0.0)
+    return reveals, probs
+
+
 def sample_abilities(n_applicants: int, rng: np.random.Generator) -> np.ndarray:
     """Draw i.i.d. uniform abilities on (0, 1), redrawing exact collisions.
 
@@ -193,25 +195,6 @@ def sample_abilities(n_applicants: int, rng: np.random.Generator) -> np.ndarray:
         seen.add(x)
         values.append(x)
     return np.asarray(values)
-
-
-def applicant_action(
-    profile: StrategyProfile, stage: int, ability: float, past_output_max: float
-) -> int:
-    """Interview decision of the stage's applicant (1 = complete, 0 = decline).
-
-    Under a learning rule the applicant completes exactly when their ability
-    beats every previous output and the record-acceptance probability covers
-    the cost; at stage 1 the empty output history counts as maximum 0, so any
-    ability qualifies.  Blind and forced-decline stages never complete.
-    """
-    if not ability > 0.0:
-        raise ValueError(f"ability must be positive, got {ability!r}")
-    if past_output_max < 0.0:
-        raise ValueError(f"past_output_max must be >= 0, got {past_output_max!r}")
-    r = profile.rule(stage)
-    revealing = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
-    return int(revealing and ability > past_output_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,22 +222,22 @@ def play_game(
 ) -> GameTranscript:
     """Play one game forward and record the transcript."""
     _check_profile(config, profile)
+    reveals, probs = _stage_plan(profile)
     theta = sample_abilities(config.n_applicants, rng)
     actions: list[int] = []
     outputs: list[float] = []
     accepted: Optional[int] = None
     past_max = 0.0
-    for n in range(1, config.n_applicants + 1):
-        ability = float(theta[n - 1])
-        act = applicant_action(profile, n, ability, past_max)
+    for j, ability in enumerate(theta.tolist()):
+        act = int(reveals[j] and ability > past_max)
         y = ability if act else 0.0
         actions.append(act)
         outputs.append(y)
-        p = profile.admin_acceptance(n, y > past_max, y > 0.0)
+        p = probs[j] if act or not reveals[j] else 0.0
         if p >= 1.0 or (p > 0.0 and rng.random() < p):
-            accepted = n
+            accepted = j + 1
             break
-        if y > past_max:
+        if act:
             past_max = y
     success = accepted is not None and float(theta[accepted - 1]) == float(theta.max())
     payoffs = []
@@ -295,22 +278,8 @@ class AggregateStats:
     seed: int
 
 
-def _stage_plan(profile: StrategyProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stage reveal flags and acceptance probabilities.
-
-    A learning stage that nobody completes accepts nothing, so it plays as
-    a blind stage with acceptance probability zero.
-    """
-    reveals = np.empty(profile.n_stages, dtype=bool)
-    probs = np.empty(profile.n_stages, dtype=np.float64)
-    for j, r in enumerate(profile.stages):
-        reveals[j] = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
-        probs[j] = r.accept_prob if reveals[j] or not r.learning else 0.0
-    return reveals, probs
-
-
 def _run_batch(
-    reveals: np.ndarray, probs: np.ndarray, size: int, key: int
+    reveals: Sequence[bool], probs: Sequence[float], size: int, key: int
 ) -> tuple[int, int, int, int]:
     """Simulate one batch; returns integer totals (successes, acceptances,
     sum of stopping indices, sum of squared stopping indices)."""
@@ -320,7 +289,7 @@ def _run_batch(
     true_max = np.zeros(size)
     tau = np.zeros(size, dtype=np.int64)
     chosen = np.full(size, -1.0)
-    for j in range(reveals.size):
+    for j in range(len(reveals)):
         theta = rng.random(size)
         u = rng.random(size)
         np.maximum(true_max, theta, out=true_max)
@@ -414,15 +383,16 @@ def incentive_audit(
     Flags learning stages whose record-acceptance probability falls short of
     the cost, and stages whose completion behavior contradicts the sign of
     the applicant's payoff from completing.  A learning stage never accepts
-    a non-record output (see ``StrategyProfile.admin_acceptance``), so that
-    needs no check.  Returns an empty list for the solved profile and for
-    pure blind-acceptance profiles.
+    a non-record output (see ``_stage_plan``), so that needs no check.
+    Returns an empty list for the solved profile and for pure
+    blind-acceptance profiles.
     """
     _check_profile(config, profile)
     out: list[IncentiveViolation] = []
     for n, r in enumerate(profile.stages, start=1):
-        completing_pays = _reveals(True, r.accept_prob, config.cost)
-        if r.learning and not completing_pays:
+        if not r.learning:
+            continue
+        if not _reveals(True, r.accept_prob, config.cost):
             out.append(
                 IncentiveViolation(
                     stage=n,
@@ -435,8 +405,7 @@ def incentive_audit(
             )
         # Completing never happens unless it pays, so the only mismatch is a
         # forced decline where completing pays.
-        completes = _reveals(r.learning, r.accept_prob, config.cost, r.force_decline)
-        if r.learning and completing_pays and not completes:
+        elif r.force_decline:
             out.append(
                 IncentiveViolation(
                     stage=n,

@@ -14,6 +14,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
+from costly_secretary import cli
 from costly_secretary.cli import main
 
 
@@ -208,6 +209,27 @@ class TestOracleCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert "11390625 policies" in err and "5000000" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "8", "--grid-step", "0.3"],
+             "error: grid_step must lie in (0, 0.25], got 0.3\n"),
+            (["--n", "9", "--grid-step", "0.25"],
+             "error: optimality_scan supports at most 8 applicants\n"),
+        ],
+    )
+    def test_bad_grid_step_fails_before_enumeration(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated before checking the scan grid")
+
+        monkeypatch.setattr(cli, "exact_success_probability", forbidden)
+        code, out, err = capture(capsys, ["oracle", "--cost", "0.1", *argv])
+        assert code == 2
+        assert out == ""
+        assert err == message
 
 
 class TestAsymptoticsCommand:

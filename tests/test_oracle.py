@@ -1,7 +1,9 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from costly_secretary import (
@@ -17,6 +19,7 @@ from costly_secretary import (
     full_learning_audit,
     full_learning_counterexample,
     optimality_scan,
+    play_game,
     policy_success_probability,
     solve_values,
 )
@@ -208,6 +211,55 @@ class TestFullLearningAudit:
         with pytest.raises(ValueError):
             full_learning_audit(GameConfig(11, 0.1))
 
+    @staticmethod
+    def reference_counterexample(profile):
+        """The audit as a per-stage replay of the game rules, kept as an
+        independent reference for the walk over the orders."""
+        n_apps = profile.n_stages
+        for order in itertools.permutations(range(1, n_apps + 1)):
+            max_y = 0
+            max_theta = 0
+            for n, (rank, r) in enumerate(zip(order, profile.stages), start=1):
+                pays = r.accept_prob >= profile.cost
+                act = r.learning and not r.force_decline and pays and rank > max_y
+                y = rank if act else 0
+                if r.learning:
+                    p = r.accept_prob if y > max_y else 0.0
+                else:
+                    p = r.accept_prob
+                max_y = max(max_y, y)
+                max_theta = max(max_theta, rank)
+                if max_y != max_theta:
+                    return order, n
+                if p >= 1.0:
+                    break
+        return None
+
+    def test_matches_per_stage_reference_on_random_profiles(self):
+        rand = random.Random(5150)
+        outcomes = set()
+        for _ in range(320):
+            n_apps = rand.randint(2, 6)
+            cost = rand.choice(COST_GRID)
+            rules = []
+            for _ in range(n_apps):
+                kind = rand.random()
+                q = rand.choice([0.0, 1.0, rand.random()])
+                if kind < 0.6:
+                    rules.append(StageRule(True, max(q, cost)))
+                elif kind < 0.7:
+                    rules.append(StageRule(True, q))
+                elif kind < 0.8:
+                    rules.append(StageRule(True, q, force_decline=True))
+                else:
+                    rules.append(StageRule(False, q))
+            profile = StrategyProfile(cost, tuple(rules))
+            expected = self.reference_counterexample(profile)
+            assert full_learning_counterexample(GameConfig(n_apps, cost), profile) == expected
+            outcomes.add(None if expected is None else expected[1])
+        # both verdicts, and breaks at several stages, occur in the sample
+        assert None in outcomes and len(outcomes) >= 4
+
 
 class TestExactStateValue:
     def test_matches_dp_tables(self):
@@ -294,4 +346,7 @@ def test_enumeration_and_monte_carlo_never_call_the_solver(monkeypatch):
     assert exact_success_probability(cfg, policy) > 0
     assert exact_expected_tau(cfg, policy) > 0
     assert exact_state_value(cfg, 2, 1) > 0
-    assert estimate(cfg, StrategyProfile.equilibrium(cfg), 1000, 0).trials == 1000
+    profile = StrategyProfile.equilibrium(cfg)
+    assert full_learning_counterexample(cfg, profile) is None
+    assert play_game(cfg, profile, np.random.default_rng(0)).accepted_index
+    assert estimate(cfg, profile, 1000, 0).trials == 1000

@@ -8,7 +8,6 @@ from costly_secretary import (
     GameConfig,
     StageRule,
     StrategyProfile,
-    applicant_action,
     closed_form_success,
     equilibrium_accept_probs,
     estimate,
@@ -29,27 +28,38 @@ class TestProfiles:
         profile = StrategyProfile.equilibrium(cfg)
         accept = equilibrium_accept_probs(cfg)
         for n in range(1, 11):
-            rule = profile.rule(n)
+            rule = profile.stages[n - 1]
             assert rule.learning
             assert rule.accept_prob == accept[n - 1]
 
     def test_admin_acceptance_mapping(self):
         cfg = GameConfig(4, 0.3)
         profile = StrategyProfile.equilibrium(cfg)
-        # records are accepted per the rule, anything else never
-        assert profile.admin_acceptance(1, True, True) == 0.3
-        assert profile.admin_acceptance(4, True, True) == 1.0
-        assert profile.admin_acceptance(2, False, True) == 0.0
-        assert profile.admin_acceptance(2, True, False) == 0.0
+        assert [r.accept_prob for r in profile.stages] == [0.3, 1.0, 1.0, 1.0]
+        # records are accepted per the rule, anything else never: every
+        # accepted applicant completed and was the best so far, and a record
+        # after stage 1 is always accepted
+        rng = rng_for(3)
+        accepted_first = 0
+        for _ in range(2000):
+            t = play_game(cfg, profile, rng)
+            for k, act in enumerate(t.actions):
+                assert act == (t.abilities[k] > max(t.abilities[:k], default=0.0))
+                if k + 1 == t.accepted_index:
+                    assert act
+                elif k >= 1:
+                    assert not act
+            accepted_first += t.accepted_index == 1
+        assert 0 < accepted_first < 2000
 
     def test_no_learning_masses_become_stage_probabilities(self):
         cfg = GameConfig(4, 0.3)
         blind = StrategyProfile.no_learning(cfg, [0.25, 0.25, 0.25, 0.25])
         # conditional on reaching the stage: 0.25, 1/3, 0.5, 1
-        assert blind.admin_acceptance(1, False, False) == pytest.approx(0.25)
-        assert blind.admin_acceptance(2, False, False) == pytest.approx(1 / 3)
-        assert blind.admin_acceptance(3, False, False) == pytest.approx(0.5)
-        assert blind.admin_acceptance(4, False, False) == pytest.approx(1.0)
+        assert blind.stages[0].accept_prob == pytest.approx(0.25)
+        assert blind.stages[1].accept_prob == pytest.approx(1 / 3)
+        assert blind.stages[2].accept_prob == pytest.approx(0.5)
+        assert blind.stages[3].accept_prob == pytest.approx(1.0)
         with pytest.raises(ValueError):
             StrategyProfile.no_learning(cfg, [0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError):
@@ -127,33 +137,46 @@ class TestSampleAbilities:
 
 
 class TestApplicantAction:
+    """Interview decisions, read off play_game transcripts."""
+
     def test_below_past_maximum_declines(self):
-        profile = StrategyProfile.equilibrium(GameConfig(5, 0.3))
-        assert applicant_action(profile, 3, 0.4, 0.9) == 0
+        cfg = GameConfig(5, 0.3)
+        profile = StrategyProfile.equilibrium(cfg)
+        rng = rng_for(43)
+        declined = 0
+        for _ in range(2000):
+            t = play_game(cfg, profile, rng)
+            for k, act in enumerate(t.actions):
+                if t.abilities[k] < max(t.outputs[:k], default=0.0):
+                    assert act == 0
+                    declined += 1
+        assert declined > 0
 
     def test_stage_one_always_completes(self):
         for cost in (0.0, 0.5, 0.9):
-            profile = StrategyProfile.equilibrium(GameConfig(5, cost))
-            assert applicant_action(profile, 1, 0.01, 0.0) == 1
+            cfg = GameConfig(5, cost)
+            profile = StrategyProfile.equilibrium(cfg)
+            rng = rng_for(47)
+            for _ in range(200):
+                assert play_game(cfg, profile, rng).actions[0] == 1
 
     def test_no_learning_always_declines(self):
         cfg = GameConfig(5, 0.3)
         profile = StrategyProfile.no_learning(cfg, [0.6, 0.1, 0.1, 0.1, 0.1])
-        for stage in range(1, 6):
-            assert applicant_action(profile, stage, 0.99, 0.5) == 0
+        rng = rng_for(53)
+        for _ in range(500):
+            assert not any(play_game(cfg, profile, rng).actions)
 
     def test_record_with_insufficient_incentive_declines(self):
         cfg = GameConfig(5, 0.3)
         rules = tuple(StageRule(True, 0.1) for _ in range(5))
         profile = StrategyProfile(cost=0.3, stages=rules)
-        assert applicant_action(profile, 2, 0.9, 0.5) == 0
-
-    def test_rejects_bad_inputs(self):
-        profile = StrategyProfile.equilibrium(GameConfig(3, 0.1))
-        with pytest.raises(ValueError):
-            applicant_action(profile, 1, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            applicant_action(profile, 1, 0.5, -0.2)
+        rng = rng_for(59)
+        for _ in range(500):
+            t = play_game(cfg, profile, rng)
+            # nobody completes, and a stage nobody completes accepts nothing
+            assert t.actions == (0,) * 5
+            assert t.accepted_index is None
 
 
 def check_transcript(transcript, config):
