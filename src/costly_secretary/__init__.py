@@ -1,85 +1,15 @@
 """Secretary problem with applicant-borne interview costs: solver,
 simulator, asymptotics, and exact verification oracle."""
 
-from .asymptotics import (
-    AsymptoticReport,
-    convergence_report,
-    gamma,
-    gauss_product_check,
-    limit_constant,
-    threshold_bounds,
-)
-from .equilibrium import (
-    GameConfig,
-    ValueTables,
-    closed_form_success,
-    compute_threshold,
-    compute_threshold_sequence,
-    equilibrium_accept_probs,
-    expected_stopping_time,
-    record_survival_product,
-    solve_values,
-)
-from .oracle import (
-    PolicySpec,
-    ScanReport,
-    VerificationError,
-    exact_expected_tau,
-    exact_state_value,
-    exact_success_probability,
-    full_learning_audit,
-    full_learning_counterexample,
-    optimality_scan,
-    policy_success_probability,
-)
-from .simulator import (
-    AggregateStats,
-    GameTranscript,
-    IncentiveViolation,
-    StageRule,
-    StrategyProfile,
-    estimate,
-    incentive_audit,
-    play_game,
-    sample_abilities,
-)
+from . import asymptotics, equilibrium, oracle, simulator
+from .asymptotics import *
+from .equilibrium import *
+from .oracle import *
+from .simulator import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AggregateStats",
-    "AsymptoticReport",
-    "GameConfig",
-    "GameTranscript",
-    "IncentiveViolation",
-    "PolicySpec",
-    "ScanReport",
-    "StageRule",
-    "StrategyProfile",
-    "ValueTables",
-    "VerificationError",
-    "closed_form_success",
-    "compute_threshold",
-    "compute_threshold_sequence",
-    "convergence_report",
-    "equilibrium_accept_probs",
-    "estimate",
-    "exact_expected_tau",
-    "exact_state_value",
-    "exact_success_probability",
-    "expected_stopping_time",
-    "full_learning_audit",
-    "full_learning_counterexample",
-    "gamma",
-    "gauss_product_check",
-    "incentive_audit",
-    "limit_constant",
-    "optimality_scan",
-    "play_game",
-    "policy_success_probability",
-    "record_survival_product",
-    "sample_abilities",
-    "solve_values",
-    "threshold_bounds",
+    *sorted(asymptotics.__all__ + equilibrium.__all__ + oracle.__all__ + simulator.__all__),
 ]

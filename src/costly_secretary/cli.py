@@ -46,8 +46,6 @@ _VERIFICATION_ERROR = 3
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     if value is None:
@@ -58,7 +56,7 @@ def _fmt(value) -> str:
 def _emit(rows: list[dict], meta: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
         payload = {"meta": meta, "rows": rows}
-        text = json.dumps(payload, indent=2, allow_nan=False, default=_fmt) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         lines = []
         if rows:

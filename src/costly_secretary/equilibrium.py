@@ -96,26 +96,22 @@ def compute_threshold_sequence(max_applicants: int) -> np.ndarray:
     """Thresholds for every instance size 2..max_applicants in one pass.
 
     Entry [N] of the returned array is compute_threshold(N); entries 0 and 1
-    are zero.  Uses compensated cumulative harmonic sums and the fact that
-    the threshold never decreases with N, so the whole scan is linear.
+    are zero.  The harmonic numbers H_m are a running sum plus the running sum
+    of each step's exact TwoSum rounding error.  n*(N) is then the least n with
+    H_{N-1} - H_{n-1} <= 1, found for every N at once by one binary search;
+    nothing assumes that the threshold grows with N.
     """
     max_applicants = _as_count(max_applicants, 2, "max_applicants")
+    terms = 1.0 / np.arange(1.0, max_applicants)
+    sums = np.cumsum(terms)
+    # TwoSum: the exact rounding error of each step of the running sum
+    delta = sums[1:] - sums[:-1]
+    err = (sums[:-1] - (sums[1:] - delta)) + (terms[1:] - delta)
     harmonic = np.zeros(max_applicants, dtype=np.float64)  # harmonic[m] = H_m
-    total = 0.0
-    comp = 0.0
-    for m in range(1, max_applicants):
-        y = 1.0 / m - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        harmonic[m] = total + comp
+    harmonic[1:] = sums
+    harmonic[2:] += np.cumsum(err)
     out = np.zeros(max_applicants + 1, dtype=np.int64)
-    t = 1
-    for n_apps in range(2, max_applicants + 1):
-        tail_end = harmonic[n_apps - 1]
-        while tail_end - harmonic[t - 1] > 1.0:
-            t += 1
-        out[n_apps] = t
+    out[2:] = np.searchsorted(harmonic, harmonic[1:] - 1.0, side="left") + 1
     return out
 
 
@@ -153,9 +149,13 @@ def solve_values(config: GameConfig) -> ValueTables:
     floor = 1.0 / n_apps
     pay = cost / n_apps
     keep = 1.0 - cost
-    v0 = [0.0] * (n_apps + 1)
-    v1 = [0.0] * (n_apps + 1)
+    v0 = np.empty(n_apps + 1, dtype=np.float64)
+    v1 = np.empty(n_apps + 1, dtype=np.float64)
+    v0[0] = v1[0] = math.nan
+    v0[n_apps] = 0.0
     v1[n_apps] = floor
+    out0 = memoryview(v0)
+    out1 = memoryview(v1)
     prev0 = 0.0
     prev1 = floor
     for n in range(n_apps - 1, 0, -1):
@@ -163,20 +163,16 @@ def solve_values(config: GameConfig) -> ValueTables:
         y = pay + keep * x
         if y < floor:
             y = floor
-        v0[n] = x
-        v1[n] = y
+        out0[n] = x
+        out1[n] = y
         prev0 = x
         prev1 = y
-    arr0 = np.asarray(v0, dtype=np.float64)
-    arr1 = np.asarray(v1, dtype=np.float64)
-    arr0[0] = math.nan
-    arr1[0] = math.nan
     return ValueTables(
         config=config,
-        v0=arr0,
-        v1=arr1,
+        v0=v0,
+        v1=v1,
         threshold=compute_threshold(n_apps),
-        success_probability=float(arr1[1]),
+        success_probability=float(v1[1]),
     )
 
 
@@ -214,18 +210,16 @@ def _acceptance_mass(config: GameConfig) -> float:
     no acceptance contributing zero), so both public closed forms read off
     this value and the stopping-time identity holds to a rounding error.
 
-    When the threshold is 1 the factored form degenerates (its trailing sum
-    picks up a 1/0 term that is annihilated by a zero prefactor), so the
-    state-0 value recursion is iterated directly instead.
+    The threshold is 1 only at N = 2, where the factored form degenerates
+    (its trailing sum picks up a 1/0 term under a zero prefactor).  There
+    stage 1 is always a current best and is accepted outright, so the mass
+    is exactly 1.
     """
     n_apps = config.n_applicants
     cost = config.cost
     n_star = compute_threshold(n_apps)
     if n_star == 1:
-        value = 0.0
-        for n in range(n_apps, 0, -1):
-            value = 1.0 / n_apps + (1.0 - 1.0 / n) * value
-        return n_apps * value
+        return 1.0
     survivals = np.concatenate(
         ([1.0], np.cumprod(1.0 - cost / np.arange(1.0, n_star - 1.0)))
     ).tolist()

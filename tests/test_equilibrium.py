@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -63,13 +65,50 @@ class TestComputeThreshold:
         seq = compute_threshold_sequence(500)
         for n in range(2, 501):
             assert seq[n] == compute_threshold(n)
+        seq = compute_threshold_sequence(10**6)
+        rng = random.Random(6)
+        sizes = [rng.randint(501, 10**6) for _ in range(29)] + [10**6]
+        for n in sizes:
+            assert seq[n] == compute_threshold(n)
 
     def test_sequence_non_decreasing(self):
         seq = compute_threshold_sequence(3000)
         assert np.all(np.diff(seq[2:]) >= 0)
 
 
+def list_recursion(n_apps, cost):
+    """Reference: the backward induction kept in Python lists."""
+    v0 = [0.0] * (n_apps + 1)
+    v1 = [0.0] * (n_apps + 1)
+    v1[n_apps] = 1.0 / n_apps
+    for n in range(n_apps - 1, 0, -1):
+        v0[n] = v1[n + 1] / n + v0[n + 1]
+        v1[n] = max(cost / n_apps + (1.0 - cost) * v0[n], 1.0 / n_apps)
+    v0[0] = v1[0] = math.nan
+    return np.array(v0), np.array(v1)
+
+
 class TestSolveValues:
+    @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
+    def test_bit_identical_to_list_recursion(self, cost):
+        for n_apps in (2, 3, 10, 1000, 100000):
+            t = solve_values(GameConfig(n_apps, cost))
+            ref0, ref1 = list_recursion(n_apps, cost)
+            assert np.array_equal(t.v0, ref0, equal_nan=True)
+            assert np.array_equal(t.v1, ref1, equal_nan=True)
+            assert t.success_probability == ref1[1]
+
+    def test_peak_memory_is_the_two_tables(self):
+        n_apps = 200_000
+        tables_bytes = 2 * 8 * (n_apps + 1)
+        tracemalloc.start()
+        try:
+            solve_values(GameConfig(n_apps, 0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * tables_bytes
+
     def test_boundary_values(self):
         for n, c in [(2, 0.0), (5, 0.3), (40, 0.9)]:
             t = solve_values(GameConfig(n, c))
@@ -189,11 +228,10 @@ class TestClosedForms:
         )
 
     def test_two_applicants_no_cost(self):
-        # threshold 1 collapses the factored form; the recursion fallback
-        # must agree with the backward induction
-        assert closed_form_success(GameConfig(2, 0.0)) == pytest.approx(
-            0.5, abs=1e-15
-        )
+        # threshold 1 collapses the factored form; stage 1 is accepted
+        # outright whatever the cost, so pi = 1/2 exactly on the whole grid
+        for cost in COST_GRID:
+            assert closed_form_success(GameConfig(2, cost)) == 0.5
 
     def test_large_instance_headline(self):
         assert closed_form_success(GameConfig(1000, 0.1)) > 0.2
@@ -207,9 +245,8 @@ class TestClosedForms:
 
     def test_expected_tau_two_applicants(self):
         # stage-1 applicant is always a record and always accepted
-        assert expected_stopping_time(GameConfig(2, 0.0)) == pytest.approx(
-            1.0, abs=1e-15
-        )
+        for cost in COST_GRID:
+            assert expected_stopping_time(GameConfig(2, cost)) == 1.0
 
     def test_stopping_identity_ten_applicants(self):
         cfg = GameConfig(10, 0.1)
