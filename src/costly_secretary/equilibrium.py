@@ -11,6 +11,7 @@ and the expected length of search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -68,15 +69,60 @@ class GameConfig:
         object.__setattr__(self, "cost", _check_cost(self.cost))
 
 
+# Stages per vectorized block: bounds the temporaries of solve_values and
+# _acceptance_mass to a few hundred kB whatever N is.
+_BLOCK = 1 << 14
+# compute_threshold estimates the tail sums for N at or above this size.  There
+# the first omitted Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below
+# 1e-17; below it the loop takes at most ~630 steps.
+_ESTIMATE_MIN_N = 1000
+# The estimate and the Kahan loop each err by under ~1e-15, so a comparison
+# against 1 that clears this margin comes out the same in both.
+_THRESHOLD_MARGIN = 1e-12
+
+
+def _harmonic_correction(m: int) -> float:
+    """H_m - ln m - Euler's gamma, to the 1/(120 m^4) term."""
+    m = float(m)
+    inv2 = 1.0 / (m * m)
+    return 0.5 / m - inv2 / 12.0 + inv2 * inv2 / 120.0
+
+
+def _tail_estimate(n_apps: int, n: int) -> float:
+    """sum_{k=n}^{N-1} 1/k = H_{N-1} - H_{n-1} by Euler-Maclaurin."""
+    return (
+        math.log((n_apps - 1) / (n - 1))
+        + _harmonic_correction(n_apps - 1)
+        - _harmonic_correction(n - 1)
+    )
+
+
 def compute_threshold(n_applicants: int) -> int:
     """First stage from which a current-best applicant is accepted outright.
 
-    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1.  The tail sums are
-    accumulated backward with Kahan compensation, so the comparison against 1
-    carries an absolute error below ~1e-15; the only instance whose tail sum
-    equals 1 exactly (N = 2) is computed exactly in binary floating point.
+    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1.  For N >= 1000 the
+    tail sums near N/e are estimated in O(1) by the Euler-Maclaurin expansion
+    of the harmonic numbers, stepping n until T(n) <= 1 < T(n-1); that n is
+    returned only when both estimates clear 1 by _THRESHOLD_MARGIN (1e-12),
+    over 1000 times the combined error of the estimate and of the loop below,
+    so the answer is the loop's.  Otherwise, and for smaller N, the tail sums
+    are accumulated backward with Kahan compensation, so the comparison
+    against 1 carries an absolute error below ~1e-15; the only instance whose
+    tail sum equals 1 exactly (N = 2) is computed exactly in binary floating
+    point.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
+    if n_applicants >= _ESTIMATE_MIN_N:
+        n = int((n_applicants - 1) / math.e) + 1
+        while _tail_estimate(n_applicants, n) > 1.0:
+            n += 1
+        while _tail_estimate(n_applicants, n - 1) <= 1.0:
+            n -= 1
+        if (
+            _tail_estimate(n_applicants, n) <= 1.0 - _THRESHOLD_MARGIN
+            and _tail_estimate(n_applicants, n - 1) > 1.0 + _THRESHOLD_MARGIN
+        ):
+            return n
     total = 0.0
     comp = 0.0
     candidate = n_applicants
@@ -142,7 +188,15 @@ def solve_values(config: GameConfig) -> ValueTables:
         v1[n] = max(cost/N + (1 - cost) * v0[n], 1/N)
 
     The max picks between accepting a current best with the incentive-minimum
-    probability (cost) and accepting it outright.
+    probability (cost) and accepting it outright.  While it picks the floor
+    1/N (about the stages from the threshold on), v0 is a running sum of
+    (1/N)/n.  Those tail stages are computed in numpy blocks of at most
+    _BLOCK stages from N-1 down, with a sequential running sum that adds in
+    the loop's order, until the first stage whose max does not pick the
+    floor; that stage is found from the recursion's own floats, not from
+    compute_threshold.  The remaining ~N/e head stages run one at a time in
+    Python.  Every stage gets the same floating-point operations either way,
+    so the tables are the same bits as a plain stage loop's.
     """
     n_apps = config.n_applicants
     cost = config.cost
@@ -154,11 +208,27 @@ def solve_values(config: GameConfig) -> ValueTables:
     v0[0] = v1[0] = math.nan
     v0[n_apps] = 0.0
     v1[n_apps] = floor
-    out0 = memoryview(v0)
-    out1 = memoryview(v1)
     prev0 = 0.0
     prev1 = floor
-    for n in range(n_apps - 1, 0, -1):
+    top = n_apps - 1  # the highest stage not yet written
+    while top >= 1:
+        size = min(top, _BLOCK)
+        # x[0] is the carried v0[top + 1]; x[k] becomes v0[top + 1 - k]
+        x = np.empty(size + 1, dtype=np.float64)
+        x[0] = prev0
+        np.divide(floor, np.arange(top, top - size, -1, dtype=np.float64), out=x[1:])
+        np.add.accumulate(x, out=x)
+        stops = pay + keep * x[1:] >= floor
+        done = int(stops.argmax()) if stops.any() else size
+        v0[top - done + 1 : top + 1] = x[done:0:-1]
+        v1[top - done + 1 : top + 1] = floor
+        prev0 = float(x[done])
+        top -= done
+        if done < size:
+            break
+    out0 = memoryview(v0)
+    out1 = memoryview(v1)
+    for n in range(top, 0, -1):
         x = prev1 / n + prev0
         y = pay + keep * x
         if y < floor:
@@ -214,18 +284,38 @@ def _acceptance_mass(config: GameConfig) -> float:
     (its trailing sum picks up a 1/0 term under a zero prefactor).  There
     stage 1 is always a current best and is accepted outright, so the mass
     is exactly 1.
+
+    The survival products and the tail terms are made and summed in blocks of
+    at most _BLOCK terms, so the memory used does not grow with N.
     """
     n_apps = config.n_applicants
     cost = config.cost
     n_star = compute_threshold(n_apps)
     if n_star == 1:
         return 1.0
-    survivals = np.concatenate(
-        ([1.0], np.cumprod(1.0 - cost / np.arange(1.0, n_star - 1.0)))
-    ).tolist()
-    pre_sum = math.fsum(survivals)  # sum of S_0 .. S_{n*-2}
-    survival_at_threshold = survivals[-1] * (1.0 - cost / (n_star - 1))
-    tail_sum = math.fsum(1.0 / m for m in range(n_star - 1, n_apps))
+    survival = 1.0  # S_k after the last block streamed
+
+    def survival_blocks():  # S_0 .. S_{n*-2}
+        nonlocal survival
+        yield [1.0]
+        for lo in range(1, n_star - 1, _BLOCK):
+            hi = min(lo + _BLOCK, n_star - 1)
+            run = np.empty(hi - lo + 1, dtype=np.float64)
+            run[0] = survival
+            run[1:] = 1.0 - cost / np.arange(lo, hi, dtype=np.float64)
+            np.multiply.accumulate(run, out=run)
+            survival = float(run[-1])
+            yield run[1:].tolist()
+
+    # fsum is correctly rounded, so streaming in blocks changes no bit
+    pre_sum = math.fsum(itertools.chain.from_iterable(survival_blocks()))
+    survival_at_threshold = survival * (1.0 - cost / (n_star - 1))
+    tail_sum = math.fsum(
+        itertools.chain.from_iterable(
+            (1.0 / np.arange(lo, min(lo + _BLOCK, n_apps))).tolist()
+            for lo in range(n_star - 1, n_apps, _BLOCK)
+        )
+    )
     return cost * pre_sum + (n_star - 1) * survival_at_threshold * tail_sum
 
 

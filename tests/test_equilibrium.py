@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -18,6 +19,8 @@ from costly_secretary import (
     record_survival_product,
     solve_values,
 )
+from costly_secretary import equilibrium
+from costly_secretary.equilibrium import _BLOCK
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -29,6 +32,23 @@ def exact_threshold(n_applicants):
     for k in range(n_applicants - 1, 0, -1):
         total += Fraction(1, k)
         if total <= 1:
+            candidate = k
+        else:
+            break
+    return candidate
+
+
+def kahan_threshold(n_applicants):
+    """Reference: the backward Kahan-compensated tail-sum loop."""
+    total = 0.0
+    comp = 0.0
+    candidate = n_applicants
+    for k in range(n_applicants - 1, 0, -1):
+        y = 1.0 / k - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if total <= 1.0:
             candidate = k
         else:
             break
@@ -51,6 +71,27 @@ class TestComputeThreshold:
     def test_matches_rational_oracle_up_to_300(self):
         for n in range(2, 301):
             assert compute_threshold(n) == exact_threshold(n)
+
+    def test_matches_kahan_loop(self):
+        # every size to 5000, then 200 sizes up to 2e6, log-uniform because
+        # the reference loop costs O(N) per size
+        rng = random.Random(7)
+        log_lo, log_hi = math.log(5001), math.log(2 * 10**6)
+        sizes = list(range(2, 5001)) + [
+            int(math.exp(rng.uniform(log_lo, log_hi))) for _ in range(199)
+        ] + [2 * 10**6]
+        for n in sizes:
+            assert compute_threshold(n) == kahan_threshold(n), n
+
+    def test_billion_applicants_in_constant_time(self):
+        # the Kahan loop gives the same n* after about 1e9 steps
+        assert compute_threshold(10**9) == 367879442
+
+    def test_fallback_is_the_kahan_loop(self, monkeypatch):
+        # no estimate clears an infinite margin, so every call runs the loop
+        monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
+        for n in range(2, 5001):
+            assert compute_threshold(n) == kahan_threshold(n), n
 
     def test_rejects_small_and_non_integer(self):
         for bad in (1, 0, -3):
@@ -88,10 +129,41 @@ def list_recursion(n_apps, cost):
     return np.array(v0), np.array(v1)
 
 
+def switch_stage(n_apps, cost, v0):
+    """Highest stage below N whose max does not pick 1/N, or 0 if none."""
+    floor = 1.0 / n_apps
+    for n in range(n_apps - 1, 0, -1):
+        if cost / n_apps + (1.0 - cost) * v0[n] >= floor:
+            return n
+    return 0
+
+
+def size_with_switch_gap(cost, gap):
+    """The least N whose switch stage is N - gap, by the list recursion.
+
+    N - switch stage grows by 0 or 1 as N grows by 1 and is about
+    N (1 - 1/e), so stepping up from just below that estimate meets the gap.
+    """
+
+    def below(n_apps):
+        return n_apps - switch_stage(n_apps, cost, list_recursion(n_apps, cost)[0])
+
+    n_apps = round(gap * math.e / (math.e - 1)) - 5
+    assert below(n_apps) < gap
+    while below(n_apps) < gap:
+        n_apps += 1
+    return n_apps
+
+
 class TestSolveValues:
     @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
     def test_bit_identical_to_list_recursion(self, cost):
-        for n_apps in (2, 3, 10, 1000, 100000):
+        # the tail runs in blocks of _BLOCK stages from N-1 down: sizes at
+        # the block edges, and sizes whose switch stage is the last stage of
+        # the first block (N - BLOCK) or the first of the second (N - BLOCK - 1)
+        edges = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+        switch_at_edge = [size_with_switch_gap(cost, g) for g in (_BLOCK, _BLOCK + 1)]
+        for n_apps in (2, 3, 10, 1000, 100000, *edges, *switch_at_edge):
             t = solve_values(GameConfig(n_apps, cost))
             ref0, ref1 = list_recursion(n_apps, cost)
             assert np.array_equal(t.v0, ref0, equal_nan=True)
@@ -221,7 +293,57 @@ class TestRecordSurvivalProduct:
                 assert 0.0 < s <= 1.0
 
 
+def list_acceptance_mass(n_apps, cost):
+    """Reference: the closed form with every survival product in one list."""
+    n_star = compute_threshold(n_apps)
+    if n_star == 1:
+        return 1.0
+    survivals = np.concatenate(
+        ([1.0], np.cumprod(1.0 - cost / np.arange(1.0, n_star - 1.0)))
+    ).tolist()
+    pre_sum = math.fsum(survivals)
+    survival_at_threshold = survivals[-1] * (1.0 - cost / (n_star - 1))
+    tail_sum = math.fsum(1.0 / m for m in range(n_star - 1, n_apps))
+    return cost * pre_sum + (n_star - 1) * survival_at_threshold * tail_sum
+
+
+def first_size(start, reached):
+    return next(n for n in itertools.count(start) if reached(n))
+
+
 class TestClosedForms:
+    @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
+    def test_bit_identical_to_list_form(self, cost):
+        # the sums stream in blocks of _BLOCK terms; the last two sizes make
+        # the n* - 2 survival products one whole block and the N - n* + 1
+        # tail terms two whole blocks
+        whole_survival = first_size(
+            int(_BLOCK * math.e), lambda n: compute_threshold(n) - 2 >= _BLOCK
+        )
+        whole_tail = first_size(
+            int(2 * _BLOCK * math.e / (math.e - 1)) - 5,
+            lambda n: n - compute_threshold(n) + 1 >= 2 * _BLOCK,
+        )
+        assert compute_threshold(whole_survival) - 2 == _BLOCK
+        assert whole_tail - compute_threshold(whole_tail) + 1 == 2 * _BLOCK
+        sizes = (2, 3, 4, 10, _BLOCK - 1, _BLOCK + 1, 10**5, 10**6)
+        for n_apps in sizes + (whole_survival, whole_tail):
+            cfg = GameConfig(n_apps, cost)
+            mass = list_acceptance_mass(n_apps, cost)
+            assert expected_stopping_time(cfg) == mass
+            assert closed_form_success(cfg) == mass / n_apps
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # one block of 2**14 floats as a Python list is about 0.5 MB; the
+        # whole survival list at this size was about 12 MB
+        tracemalloc.start()
+        try:
+            expected_stopping_time(GameConfig(10**6, 0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
+
     def test_three_applicants_half_cost(self):
         assert closed_form_success(GameConfig(3, 0.5)) == pytest.approx(
             5 / 12, abs=1e-15
