@@ -7,16 +7,18 @@ instances with scaled values and the analytic asymptote, for plotting),
 ``oracle`` (exact verification of one instance).  All state flows through
 flags; identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 usage or validation error, 3 verification failure.
+Exit codes: 0 success, 2 usage, validation or out-of-memory error, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,44 +55,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], meta: dict, args: argparse.Namespace) -> None:
+def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
+    header = None
+    for row in rows:
+        if header is None:
+            header = list(row)
+            yield ",".join(header) + "\n"
+        yield ",".join(_fmt(row[k]) for k in header) + "\n"
+
+
+def _emit(rows: Iterable[dict], meta: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        payload = {"meta": meta, "rows": rows}
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        encoder = json.JSONEncoder(indent=2, allow_nan=False)
+        pieces = itertools.chain(encoder.iterencode({"meta": meta, "rows": list(rows)}), "\n")
     else:
-        lines = []
-        if rows:
-            header = list(rows[0].keys())
-            lines.append(",".join(header))
-            for row in rows:
-                lines.append(",".join(_fmt(row[k]) for k in header))
-        text = "\n".join(lines) + "\n"
+        pieces = _csv_lines(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sink = open(args.out, "w", encoding="utf-8", newline="\n")
     else:
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
+    # Join pieces in batches: a JSON table has ~1M of them, and a write costs ~1 us on a pipe.
+    with sink as fh:
+        while text := "".join(itertools.islice(pieces, 4096)):
+            fh.write(text)
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
-    meta = {"tool": "costly-secretary", "version": __version__, "command": args.command}
-    meta.update(extra)
-    return meta
+    return {"tool": "costly-secretary", "version": __version__, "command": args.command, **extra}
 
 
 def _run_solve(args: argparse.Namespace) -> int:
     config = GameConfig(args.n, args.cost)
     tables = solve_values(config)
     if args.tables:
-        rows = [
-            {
-                "stage": n,
-                "v0": float(tables.v0[n]),
-                "v1": float(tables.v1[n]),
-                "accept_record": q,
-            }
-            for n, q in enumerate(equilibrium_accept_probs(config), start=1)
-        ]
+        v0, v1 = tables.v0[1:].tolist(), tables.v1[1:].tolist()
+        rows = (
+            {"stage": n, "v0": a, "v1": b, "accept_record": q}
+            for n, (a, b, q) in enumerate(zip(v0, v1, equilibrium_accept_probs(config)), start=1)
+        )
     else:
         rows = [
             {
@@ -121,7 +123,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             rows.append(
                 {
                     "n": n_apps,
-                    "cost": cost,
+                    "cost": config.cost,
                     "n_star": tables.threshold,
                     "pi": pi,
                     "scaled_pi": n_apps**cost * pi,
@@ -136,21 +138,20 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def _run_asymptotics(args: argparse.Namespace) -> int:
     n_range = _parse_n_range(args.n_range, args.log_spaced)
     report = convergence_report(args.cost, n_range, tolerance=args.tolerance)
-    rows = []
-    for (n_apps, scaled), (_, n_star, lower, upper), deviation in zip(
-        report.samples, report.threshold_samples, report.deviations()
-    ):
-        rows.append(
-            {
-                "n": n_apps,
-                "n_star": n_star,
-                "threshold_lower": lower,
-                "threshold_upper": upper,
-                "scaled_pi": scaled,
-                "limit_constant": report.limit_constant,
-                "relative_deviation": deviation,
-            }
+    rows = [
+        {
+            "n": n_apps,
+            "n_star": n_star,
+            "threshold_lower": lower,
+            "threshold_upper": upper,
+            "scaled_pi": scaled,
+            "limit_constant": report.limit_constant,
+            "relative_deviation": deviation,
+        }
+        for (n_apps, scaled), (_, n_star, lower, upper), deviation in zip(
+            report.samples, report.threshold_samples, report.deviations()
         )
+    ]
     meta = _meta(
         args,
         cost=report.cost,
@@ -237,13 +238,10 @@ def _run_oracle(args: argparse.Namespace) -> int:
     elif scan is not None:
         rows.append(check("scan_max_vs_dp", scan.max_success, scan.dp_success))
     _emit(rows, _meta(args, tolerance=tolerance), args)
-    failed = scan_failed or any(r["status"] == "fail" for r in rows)
-    if failed:
-        for r in rows:
-            if r["status"] == "fail":
-                print(f"verification failed: {r['check']}", file=sys.stderr)
-        return _VERIFICATION_ERROR
-    return 0
+    failed = [r["check"] for r in rows if r["status"] == "fail"]
+    for name in failed:
+        print(f"verification failed: {name}", file=sys.stderr)
+    return _VERIFICATION_ERROR if scan_failed or failed else 0
 
 
 def run(args: argparse.Namespace) -> int:
@@ -252,6 +250,9 @@ def run(args: argparse.Namespace) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return _USAGE_ERROR
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ def _check_cost(cost: float) -> float:
     cost = float(cost)
     if not math.isfinite(cost) or not 0.0 <= cost < 1.0:
         raise ValueError(f"cost must lie in [0, 1), got {cost!r}")
-    return cost
+    return cost + 0.0  # -0.0 becomes 0.0, so a zero cost always prints as 0
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,10 @@ def compute_threshold(n_applicants: int) -> int:
     of the harmonic numbers, stepping n until T(n) <= 1 < T(n-1); that n is
     returned only when both estimates clear 1 by _THRESHOLD_MARGIN (1e-12),
     over 1000 times the combined error of the estimate and of the loop below,
-    so the answer is the loop's.  Otherwise, and for smaller N, the tail sums
-    are accumulated backward with Kahan compensation, so the comparison
-    against 1 carries an absolute error below ~1e-15; the only instance whose
-    tail sum equals 1 exactly (N = 2) is computed exactly in binary floating
-    point.
+    so the answer is the loop's; the margin is cleared up to about N = 1e11,
+    and from about 1e12 on (1/n* nears it) the loop runs.  Otherwise, and for
+    smaller N, the tail sums are accumulated backward with Kahan compensation
+    (error below ~1e-15; N = 2, whose tail sum is exactly 1, is exact).
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
     if n_applicants >= _ESTIMATE_MIN_N:

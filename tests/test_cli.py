@@ -3,13 +3,16 @@ import math
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from costly_secretary import (
     GameConfig,
+    __version__,
     closed_form_success,
+    equilibrium_accept_probs,
     expected_stopping_time,
     limit_constant,
     solve_values,
@@ -267,6 +270,45 @@ class TestAsymptoticsCommand:
         assert err == "error: tolerance must be finite\n"
 
 
+def _reference_tables(n_apps: int, cost: float, fmt: str) -> str:
+    """solve --tables as the CLI wrote it when it built every row, line and
+    the joined text in memory before writing."""
+    config = GameConfig(n_apps, cost)
+    tables = solve_values(config)
+    rows = [
+        {
+            "stage": n,
+            "v0": float(tables.v0[n]),
+            "v1": float(tables.v1[n]),
+            "accept_record": q,
+        }
+        for n, q in enumerate(equilibrium_accept_probs(config), start=1)
+    ]
+    if fmt == "json":
+        meta = {"tool": "costly-secretary", "version": __version__, "command": "solve"}
+        return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(row[k], ".17g") if isinstance(row[k], float)
+                              else str(row[k]) for k in header))
+    return "\n".join(lines) + "\n"
+
+
+# One invocation per command, including a verification failure (exit 3).
+_COMMANDS = [
+    ["solve", "--n", "7", "--cost", "0.2"],
+    ["solve", "--n", "7", "--cost", "0.2", "--tables"],
+    ["sweep", "--n-range", "2:30", "--cost-list", "0,0.4"],
+    ["asymptotics", "--cost", "0.1", "--n-range", "100:10000:4", "--log-spaced"],
+    ["asymptotics", "--cost", "0.5", "--n-range", "10:20", "--tolerance", "1e-9"],
+    ["simulate", "--n", "20", "--cost", "0.1", "--trials", "5000", "--seed", "4"],
+    ["oracle", "--n", "5", "--cost", "0.3", "--grid-step", "0.25"],
+]
+_COMMAND_IDS = ["solve", "tables", "sweep", "asymptotics", "asymptotics-fail", "simulate",
+                "oracle"]
+
+
 class TestFileOutput:
     def test_out_writes_identical_bytes(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
@@ -286,6 +328,98 @@ class TestFileOutput:
         text = (tmp_path / "s.csv").read_text()
         assert text.endswith("\n")
         assert text.splitlines()[0].startswith("n,cost,n_star")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+    def test_out_file_equals_stdout(self, tmp_path, capsys, argv, fmt):
+        argv = argv + ["--format", fmt]
+        code, out, err = capture(capsys, argv)
+        target = tmp_path / "rows.out"
+        assert capture(capsys, argv + ["--out", str(target)]) == (code, "", err)
+        assert target.read_bytes() == out.encode()
+
+
+class TestStreamedTables:
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("cost", [0.0, 0.3])
+    @pytest.mark.parametrize("n_apps", [2, 3, 10, 1000])
+    def test_bytes_match_the_in_memory_writer(
+        self, tmp_path, capsys, n_apps, cost, fmt, to_file
+    ):
+        argv = ["solve", "--n", str(n_apps), "--cost", str(cost), "--tables",
+                "--format", fmt]
+        target = tmp_path / "tables.out"
+        code, out, err = capture(capsys, argv + ["--out", str(target)] * to_file)
+        assert (code, err) == (0, "")
+        written = target.read_text(encoding="utf-8") if to_file else out
+        assert written == _reference_tables(n_apps, cost, fmt)
+
+    @pytest.mark.parametrize(
+        "argv, limit_mb",
+        [
+            (["--n", "100000", "--cost", "0.1"], 15),
+            (["--n", "50000", "--cost", "0.25", "--format", "json"], 25),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_peak_memory_with_out(self, tmp_path, argv, limit_mb):
+        # The in-memory writer peaked at 52 MB (CSV) and 60 MB (JSON) here.
+        argv = ["solve", *argv, "--tables", "--out", str(tmp_path / "t.out")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("solve_values", ["solve", "--n", "10", "--cost", "0.1"]),
+            ("solve_values", ["sweep", "--n-range", "2:5", "--cost-list", "0.1"]),
+            ("convergence_report", ["asymptotics", "--cost", "0.1", "--n-range", "10:20"]),
+        ],
+    )
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB"])
+    def test_out_of_memory_is_a_usage_error(
+        self, capsys, monkeypatch, target, argv, message
+    ):
+        # A real allocation that size could succeed under memory overcommit.
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message) if message else MemoryError()
+
+        monkeypatch.setattr(cli, target, exhausted)
+        code, out, err = capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory (") and err.endswith(")\n")
+        assert message in err and "()" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "3", "--cost", "{}"],
+            ["solve", "--n", "6", "--cost", "{}", "--tables", "--format", "json"],
+            ["sweep", "--n-range", "2:6", "--cost-list={},0.1"],
+            ["asymptotics", "--cost", "{}", "--n-range", "10:1000:3", "--log-spaced",
+             "--format", "json"],
+            ["simulate", "--n", "5", "--cost", "{}", "--trials", "500", "--format", "json"],
+            ["oracle", "--n", "4", "--cost", "{}", "--format", "json"],
+        ],
+        ids=["solve", "tables", "sweep", "asymptotics", "simulate", "oracle"],
+    )
+    def test_negative_zero_cost_prints_as_zero(self, capsys, argv):
+        results = {
+            text: capture(capsys, [a.format(text) for a in argv])
+            for text in ("0", "-0", "-0.0")
+        }
+        assert results["0"][0] == 0
+        assert results["-0"] == results["0"] == results["-0.0"]
+        assert "-0" not in results["0"][1].replace("e-0", "")
 
 
 def test_module_entry_point():

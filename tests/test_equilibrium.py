@@ -255,6 +255,9 @@ class TestSolveValues:
         with pytest.raises(ValueError):
             GameConfig(10, math.nan)
 
+    def test_negative_zero_cost_is_zero(self):
+        assert math.copysign(1.0, GameConfig(10, -0.0).cost) == 1.0
+
 
 class TestBuildPolicy:
     """The solved plan, equilibrium_accept_probs, at stages 1..N."""
