@@ -17,6 +17,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -248,6 +249,11 @@ def run(args: argparse.Namespace) -> int:
     """Execute a parsed invocation; returns the process exit code."""
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader stopped early (`| head`): stop quietly, with stdout on
+        # devnull so that the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

@@ -3,21 +3,27 @@
 Everything here is deliberately independent of the backward-induction
 solver: success probabilities are obtained by enumerating all N! arrival
 orders and propagating acceptance probabilities analytically along each
-order, in exact rational arithmetic.  The same walk over the orders, run
-on a profile's float stage plan, audits the full-learning property on
-every reachable prefix.  On top of that sit a fast per-policy stage
-recursion (cross-checked against the enumeration) and an exhaustive
-policy-space scan that looks for anything beating the solved policy.
-"""
+order, in exact arithmetic.  The enumeration is a depth-first walk over
+order prefixes that carries integer numerators over the common
+denominator of the acceptance probabilities and weights each stage by the
+orders that complete its prefix.  The same walk, run on a profile's float
+stage plan, audits the full-learning property on every reachable prefix.
+On top of that sit a fast stage recursion, vectorized over policies
+(cross-checked against the enumeration), and an exhaustive policy-space
+scan that evaluates the gridded policies in blocks and looks for anything
+beating the solved policy."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .equilibrium import GameConfig, _as_count, equilibrium_accept_probs, solve_values
+import numpy as np
+
+from .equilibrium import _BLOCK, GameConfig, _as_count, equilibrium_accept_probs, solve_values
 from .simulator import (
     StrategyProfile,
     _check_profile,
@@ -125,7 +131,7 @@ def _exact_plan(
 
 def _exact_walk(
     reveals: Sequence[bool], probs: Sequence[Prob], stage: int = 1, state: int = 1
-) -> tuple[Prob, Prob, int, Optional[tuple[tuple[int, ...], int]]]:
+) -> tuple[Fraction, Fraction, int, Optional[tuple[tuple[int, ...], int]]]:
     """Walk, from ``stage`` on, every arrival order in which the stage's
     applicant is (state 1) or is not (state 0) the best so far; from stage 1
     in state 1 that is all N! orders.
@@ -135,49 +141,82 @@ def _exact_walk(
     acceptance is blind.  Per order the only randomness left is the
     administrator's coin flips, so the walk carries the surviving
     probability mass along the order and accumulates hiring-the-best and
-    stopping-index mass at each acceptance opportunity, in the number type
-    of ``probs``.  Returns the summed success and stopping-index masses, the
+    stopping-index mass at each acceptance opportunity.  What happens at a
+    stage depends only on the order's prefix up to it, so the walk goes
+    depth first over prefixes, in lexicographic order, and weights the mass
+    met at stage k by the (N - k)! orders that complete the prefix.  The
+    probabilities enter exactly (floats too), and the mass is carried as
+    integer numerators over the product of their denominators.
+
+    Returns the summed success and stopping-index masses as Fractions, the
     number of orders walked, and the first (rank order, stage) at which a
     non-revealing stage holds a new best on a reachable prefix (None if
-    there is none).  A prefix behind a certain acceptance is unreachable.
+    there is none).  A prefix behind a certain acceptance is unreachable,
+    so the walk does not descend past it.
     """
     n_apps = len(probs)
     if n_apps > _MAX_ENUM:
         raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
     start = stage - 1
     want_best = state == 1
-    one = type(probs[0])(1)
-    zero = 0 * one
-    success = zero
-    tau_mass = zero
-    count = 0
+    exact = [Fraction(q) for q in probs]
+    offer = [q.numerator for q in exact]
+    den = [q.denominator for q in exact]
+    keep = [d - a for a, d in zip(offer, den)]
+    # Mass met at stage idx is a numerator over den[start] * ... * den[idx];
+    # scale[idx] brings it over all the denominators and weights it by the
+    # orders that complete its prefix.
+    scale = [
+        math.prod(den[idx + 1 :]) * math.factorial(n_apps - idx - 1)
+        for idx in range(n_apps)
+    ]
+    best_mass = [0] * n_apps
+    stop_mass = [0] * n_apps
+    path = [0] * n_apps
     first = None
-    for order in itertools.permutations(range(1, n_apps + 1)):
-        revealed = max(order[:start], default=0)
-        if (order[start] > revealed) != want_best:
-            continue
-        count += 1
-        alive = one
-        for idx in range(start, n_apps):
-            rank = order[idx]
-            if reveals[idx]:
-                if rank <= revealed:
-                    continue
-                revealed = rank
+
+    def descend(idx: int, rest: tuple[int, ...], alive: int, revealed: int) -> None:
+        nonlocal first
+        reveal = reveals[idx]
+        for i, rank in enumerate(rest):
+            if idx == start and (rank > revealed) != want_best:
+                continue
+            offered = offer[idx]
+            top = revealed
+            if reveal:
+                if rank > revealed:
+                    top = rank
+                else:
+                    offered = 0
             elif first is None and rank > revealed:
-                first = order, idx + 1
-            q = probs[idx]
-            if q:
-                win = alive * q
+                first = (*path[:idx], rank, *rest[:i], *rest[i + 1 :]), idx + 1
+            if offered:
+                win = alive * offered
                 if rank == n_apps:
-                    success += win
-                tau_mass += win * (idx + 1)
-                alive -= win
-                # Exact for floats too: alive * q rounds below alive when
-                # q < 1, and ten stages cannot underflow, so only q == 1 ends.
-                if not alive:
-                    break
-    return success, tau_mass, count, first
+                    best_mass[idx] += win
+                stop_mass[idx] += win
+                left = alive * keep[idx]
+                if not left:
+                    continue
+            else:
+                left = alive * den[idx]
+            if idx + 1 < n_apps:
+                path[idx] = rank
+                descend(idx + 1, rest[:i] + rest[i + 1 :], left, top)
+
+    count = 0
+    ranks = range(1, n_apps + 1)
+    for head in itertools.permutations(ranks, start):
+        path[:start] = head
+        rest = tuple(sorted(set(ranks).difference(head)))
+        revealed = max(head, default=0)
+        count += sum((r > revealed) == want_best for r in rest)
+        descend(start, rest, 1, revealed)
+    total = math.prod(den[start:])
+    success = sum(m * w for m, w in zip(best_mass, scale))
+    tau_mass = sum(m * w * idx for idx, (m, w) in enumerate(zip(stop_mass, scale), start=1))
+    count *= math.factorial(n_apps - stage)
+    return Fraction(success, total), Fraction(tau_mass, total), count, first
 
 
 def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fraction:
@@ -212,24 +251,25 @@ def policy_success_probability(config: GameConfig, policy: PolicySpec) -> float:
     in the test suite.
     """
     reveals = policy.validate_for(config)
-    stages = list(zip(reveals, [float(q) for q in policy.accept_probs]))
-    return _stage_recursion(stages, config.n_applicants)
+    stages = zip(reveals, [float(q) for q in policy.accept_probs])
+    return float(_stage_recursion(stages, config.n_applicants))
 
 
-def _stage_recursion(stages: Sequence[tuple[bool, float]], n_apps: int) -> float:
-    """Success probability of (reveals, acceptance probability) stages."""
+def _stage_recursion(stages: Iterable[tuple], n_apps: int) -> float | np.ndarray:
+    """Success probability of (reveals, acceptance probability) stages.
+
+    With numpy arrays as the stages it runs one policy per entry, each
+    taking the same float operations in the same order: a blind stage with
+    probability 0 adds +0.0 and multiplies by 1.0, which changes no bits.
+    """
     inv_n = 1.0 / n_apps
     alive = 1.0
     total = 0.0
     j = 0
     for reveals, q in stages:
-        if reveals:
-            j += 1
-            total += alive * q * inv_n
-            alive *= 1.0 - q / j
-        elif q > 0.0:
-            total += alive * q * inv_n
-            alive *= 1.0 - q
+        j += reveals
+        total += alive * q * inv_n
+        alive *= 1.0 - q / np.where(reveals, j, 1)
     return total
 
 
@@ -250,6 +290,29 @@ class ScanReport:
     equilibrium_success: float
     dp_success: float
     equilibrium_attains_max: bool
+
+
+def _fold_maximum(
+    total: np.ndarray, offset: int, best: float, n_max: int, kept: list[int]
+) -> tuple[float, int]:
+    """Fold a block of scan totals into the running maximum, as taking them
+    one by one would: a total above the maximum by more than 1e-12 becomes
+    the maximum and restarts the ties, one within 1e-12 of it is a tie.
+
+    ``kept`` holds the positions (the block starts at ``offset``) of the
+    first ``_MAX_KEPT`` ties; returns the new maximum and tie count.
+    """
+    rises = np.flatnonzero(total > best + 1e-12)
+    since = 0
+    while rises.size:
+        since = rises[0]
+        best = float(total[since])
+        kept.clear()
+        n_max = 0
+        rises = rises[total[rises] > best + 1e-12]
+    ties = since + np.flatnonzero(total[since:] >= best - 1e-12)
+    kept.extend((offset + ties[: _MAX_KEPT - len(kept)]).tolist())
+    return best, n_max + ties.size
 
 
 def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
@@ -283,26 +346,28 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     options.append((False, 0.0))
     options.extend((False, q) for q in qgrid)
 
-    n_policies = len(options) ** n_apps
+    base = len(options)
+    n_policies = base ** n_apps
     if n_policies > _MAX_POLICIES:
         raise ValueError(
             f"scan would evaluate {n_policies} policies, over the budget "
             f"of {_MAX_POLICIES}"
         )
 
-    best = -1.0
-    kept: list[tuple] = []
-    n_max = 0
-    for combo in itertools.product(options, repeat=n_apps):
-        total = _stage_recursion(combo, n_apps)
-        if total > best + 1e-12:
-            best = total
-            kept = [combo]
-            n_max = 1
-        elif total >= best - 1e-12:
-            n_max += 1
-            if len(kept) < _MAX_KEPT:
-                kept.append(combo)
+    # Policy p is the p-th combination of itertools.product(options,
+    # repeat=N): its option at stage s is digit s of p in base len(options).
+    # The recursion holds about eight arrays with one entry per policy in
+    # the block, so a quarter of _BLOCK keeps them to about 300 kB.
+    weights = [base ** (n_apps - s) for s in range(1, n_apps + 1)]
+    option_reveals = np.array([learn for learn, _ in options])
+    option_probs = np.array([q for _, q in options])
+    width = _BLOCK // 4
+    best, n_max, kept = -1.0, 0, []
+    for lo in range(0, n_policies, width):
+        flat = np.arange(lo, min(lo + width, n_policies))
+        digits = (flat // w % base for w in weights)
+        total = _stage_recursion(((option_reveals[d], option_probs[d]) for d in digits), n_apps)
+        best, n_max = _fold_maximum(total, lo, best, n_max, kept)
 
     dp_success = solve_values(config).success_probability
     eq_policy = PolicySpec.equilibrium(config)
@@ -318,12 +383,13 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
             f"solved policy (success {eq_success!r}) misses the scan "
             f"maximum {best!r}"
         )
+    combos = ([options[p // w % base] for w in weights] for p in kept)
     maximizers = tuple(
         PolicySpec(
             accept_probs=tuple(q for _, q in combo),
             learning=tuple(learn for learn, _ in combo),
         )
-        for combo in kept
+        for combo in combos
     )
     return ScanReport(
         config=config,

@@ -433,6 +433,22 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0].startswith("n,cost,n_star")
 
 
+def test_reader_closing_the_pipe_early_exits_quietly():
+    # ~6 MB of rows: the writer is still blocked on the full pipe when the
+    # reader goes away after the first bytes.
+    with subprocess.Popen(
+        [sys.executable, "-m", "costly_secretary", "solve", "--n", "100000",
+         "--cost", "0.1", "--tables"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(10) == b"stage,v0,v"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

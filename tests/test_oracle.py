@@ -23,6 +23,9 @@ from costly_secretary import (
     policy_success_probability,
     solve_values,
 )
+from costly_secretary import oracle
+from costly_secretary.oracle import _exact_walk
+from costly_secretary.simulator import _stage_plan
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -177,6 +180,210 @@ class TestOptimalityScan:
             optimality_scan(GameConfig(9, 0.2), grid_step=0.25)
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(3, 0.2), grid_step=0.3)
+
+
+def flat_walk(reveals, probs, stage=1, state=1):
+    """The enumeration as a per-order replay in the number type of ``probs``:
+    every order of the N! is walked stage by stage on its own.  Kept as an
+    independent reference for the prefix walk."""
+    n_apps = len(probs)
+    start = stage - 1
+    one = type(probs[0])(1)
+    success = tau_mass = 0 * one
+    count = 0
+    first = None
+    for order in itertools.permutations(range(1, n_apps + 1)):
+        revealed = max(order[:start], default=0)
+        if (order[start] > revealed) != (state == 1):
+            continue
+        count += 1
+        alive = one
+        for idx in range(start, n_apps):
+            rank = order[idx]
+            if reveals[idx]:
+                if rank <= revealed:
+                    continue
+                revealed = rank
+            elif first is None and rank > revealed:
+                first = order, idx + 1
+            q = probs[idx]
+            if q:
+                win = alive * q
+                if rank == n_apps:
+                    success += win
+                tau_mass += win * (idx + 1)
+                alive -= win
+                if not alive:
+                    break
+    return success, tau_mass, count, first
+
+
+def random_policy(rand, n_apps, cost):
+    """Learning and blind stages with float and Fraction probabilities,
+    certain acceptances included; ``cost`` is at most 1/2."""
+    probs, flags = [], []
+    for _ in range(n_apps):
+        learn = rand.random() < 0.5
+        if learn:
+            q = rand.choice(
+                [0, cost, 1.0, Fraction(1), rand.uniform(cost, 1.0),
+                 Fraction(rand.randint(10, 20), 20)]
+            )
+        else:
+            q = rand.choice(
+                [0.0, 1.0, Fraction(1), rand.random(), Fraction(rand.randint(0, 7), 7)]
+            )
+        probs.append(q)
+        flags.append(learn)
+    return PolicySpec(tuple(probs), tuple(flags))
+
+
+class TestPrefixWalk:
+    """The prefix walk equals the per-order replay exactly."""
+
+    def test_success_and_tau_on_random_policies(self):
+        rand = random.Random(20240611)
+        for _ in range(120):
+            n_apps = rand.randint(2, 6)
+            cfg = GameConfig(n_apps, rand.choice([0.0, 0.1, 0.5]))
+            policy = random_policy(rand, n_apps, cfg.cost)
+            reveals = policy.validate_for(cfg)
+            success, tau_mass, count, _ = flat_walk(
+                reveals, [Fraction(q) for q in policy.accept_probs]
+            )
+            assert exact_success_probability(cfg, policy) == success / count
+            assert exact_expected_tau(cfg, policy) == tau_mass / count
+
+    def test_every_state_value(self):
+        rand = random.Random(77)
+        for n_apps in range(2, 7):
+            for cost in (0.0, rand.random(), rand.choice(COST_GRID)):
+                cfg = GameConfig(n_apps, cost)
+                plan = (
+                    [True] * n_apps,
+                    [Fraction(q) for q in PolicySpec.equilibrium(cfg).accept_probs],
+                )
+                expected = {}
+                for stage in range(n_apps, 0, -1):
+                    for state in (1, 0):
+                        if (stage, state) == (1, 0):
+                            value = (expected[2, 1] + expected[2, 0]) / 2
+                        else:
+                            success, _, count, _ = flat_walk(*plan, stage, state)
+                            value = success / count
+                        expected[stage, state] = value
+                        assert exact_state_value(cfg, stage, state) == value
+
+    def test_counts_and_first_break_from_any_state(self):
+        rand = random.Random(31337)
+        for _ in range(80):
+            n_apps = rand.randint(2, 6)
+            cost = rand.choice([0.0, 0.3])
+            rules = [
+                StageRule(rand.random() < 0.7, rand.choice([0.0, 1.0, rand.uniform(cost, 1)]),
+                          force_decline=rand.random() < 0.15)
+                for _ in range(n_apps)
+            ]
+            float_plan = _stage_plan(StrategyProfile(cost, tuple(rules)))
+            exact_plan = (float_plan[0], [Fraction(q) for q in float_plan[1]])
+            stage = rand.randint(1, n_apps)
+            state = 1 if stage == 1 else rand.randint(0, 1)
+            assert _exact_walk(*exact_plan, stage, state) == flat_walk(*exact_plan, stage, state)
+            assert _exact_walk(*float_plan, stage, state)[2:] == flat_walk(
+                *float_plan, stage, state
+            )[2:]
+
+
+def one_by_one(totals):
+    """The scan's running maximum, taken one total at a time: returns the
+    maximum, the number of ties, the positions of the first 256 ties, and
+    the positions of every rise and tie."""
+    best, n_max, kept, hits = -1.0, 0, [], []
+    for pos, total in enumerate(totals):
+        if total > best + 1e-12:
+            best, n_max, kept = total, 1, [pos]
+            hits.append(pos)
+        elif total >= best - 1e-12:
+            n_max += 1
+            hits.append(pos)
+            if len(kept) < 256:
+                kept.append(pos)
+    return best, n_max, kept, hits
+
+
+def scan_reference(config, grid_step):
+    """The policy scan as a loop over itertools.product with a scalar stage
+    recursion.  Returns the maximum, the number of ties, the kept maximizers
+    as (learning, accept_probs), and the positions of the rises and ties."""
+    cost, n_apps = config.cost, config.n_applicants
+    qgrid = []
+    v = cost
+    while v < 1.0 - 1e-12:
+        qgrid.append(v)
+        v = cost + len(qgrid) * grid_step
+    qgrid.append(1.0)
+    options = [(True, q) for q in qgrid] + [(False, 0.0)] + [(False, q) for q in qgrid]
+    combos = list(itertools.product(options, repeat=n_apps))
+    totals = []
+    for combo in combos:
+        inv_n, alive, total, j = 1.0 / n_apps, 1.0, 0.0, 0
+        for reveals, q in combo:
+            if reveals:
+                j += 1
+                total += alive * q * inv_n
+                alive *= 1.0 - q / j
+            elif q > 0.0:
+                total += alive * q * inv_n
+                alive *= 1.0 - q
+        totals.append(total)
+    best, n_max, kept, hits = one_by_one(totals)
+    kept = [(tuple(f for f, _ in combos[p]), tuple(q for _, q in combos[p])) for p in kept]
+    return best, n_max, kept, hits
+
+
+class TestScanAgainstProductLoop:
+    @staticmethod
+    def assert_same(config, grid_step):
+        best, n_max, kept, hits = scan_reference(config, grid_step)
+        report = optimality_scan(config, grid_step)
+        assert report.max_success == best and type(report.max_success) is float
+        assert report.n_maximizers == n_max
+        assert [(p.learning, p.accept_probs) for p in report.maximizers] == kept
+        return n_max, kept, hits
+
+    def test_fold_matches_one_by_one_on_near_ties(self):
+        # totals 5e-13 apart around a slowly rising level, so that rises and
+        # ties within and just past the 1e-12 margin fall in every block
+        rand = random.Random(8128)
+        for _ in range(20):
+            totals = [0.5 + (i // 40 + rand.randint(-4, 4)) * 5e-13 for i in range(3000)]
+            best, n_max, kept, _ = one_by_one(totals)
+            got_best, got_n, got_kept, lo = -1.0, 0, [], 0
+            while lo < len(totals):
+                size = rand.randint(1, 400)
+                block = np.array(totals[lo : lo + size])
+                got_best, got_n = oracle._fold_maximum(block, lo, got_best, got_n, got_kept)
+                lo += size
+            assert (got_best, got_n, got_kept) == (best, n_max, kept)
+            assert type(got_best) is float
+
+    def test_ties_truncated_to_kept_cap(self):
+        n_max, kept, _ = self.assert_same(GameConfig(2, 0.0), 0.02)
+        assert n_max == 408 and len(kept) == 256
+
+    def test_ties_in_later_blocks(self):
+        _, _, hits = self.assert_same(GameConfig(2, 0.0), 0.01)
+        assert max(hits) >= oracle._BLOCK
+
+    @pytest.mark.parametrize(
+        "n_apps, cost, grid_step, block",
+        [(3, 0.5, 0.25, 4), (2, 0.3, 0.05, 4), (3, 0.2, 0.1, 20), (2, 0.0, 0.02, 256),
+         (4, 0.3, 0.1, 28), (4, 0.3, 0.1, 1000)],
+    )
+    def test_resets_and_ties_across_small_blocks(self, monkeypatch, n_apps, cost, grid_step, block):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        _, _, hits = self.assert_same(GameConfig(n_apps, cost), grid_step)
+        assert len({pos // block for pos in hits}) > 1
 
 
 class TestFullLearningAudit:
