@@ -79,6 +79,9 @@ _ESTIMATE_MIN_N = 1000
 # The estimate and the Kahan loop each err by under ~1e-15, so a comparison
 # against 1 that clears this margin comes out the same in both.
 _THRESHOLD_MARGIN = 1e-12
+# The Kahan loop takes about 0.63 N steps (about 100 s at N = 1e9); above this
+# size compute_threshold refuses instead of running it.
+_LOOP_MAX_N = 10**9
 
 
 def _harmonic_correction(m: int) -> float:
@@ -106,9 +109,11 @@ def compute_threshold(n_applicants: int) -> int:
     returned only when both estimates clear 1 by _THRESHOLD_MARGIN (1e-12),
     over 1000 times the combined error of the estimate and of the loop below,
     so the answer is the loop's; the margin is cleared up to about N = 1e11,
-    and from about 1e12 on (1/n* nears it) the loop runs.  Otherwise, and for
+    and from about 1e12 on (1/n* nears it) it is not.  Otherwise, and for
     smaller N, the tail sums are accumulated backward with Kahan compensation
-    (error below ~1e-15; N = 2, whose tail sum is exactly 1, is exact).
+    (error below ~1e-15; N = 2, whose tail sum is exactly 1, is exact).  That
+    loop runs only up to N = 1e9: above it, an estimate that does not clear
+    the margin raises ValueError instead of starting a loop of days.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
     if n_applicants >= _ESTIMATE_MIN_N:
@@ -122,6 +127,13 @@ def compute_threshold(n_applicants: int) -> int:
             and _tail_estimate(n_applicants, n - 1) > 1.0 + _THRESHOLD_MARGIN
         ):
             return n
+        if n_applicants > _LOOP_MAX_N:
+            raise ValueError(
+                f"cannot settle the threshold for n_applicants={n_applicants}: "
+                f"its tail-sum estimate is within {_THRESHOLD_MARGIN:g} of 1, and "
+                f"the exact sum would take about {0.63 * n_applicants:.1e} steps "
+                f"(it is run only up to n_applicants={_LOOP_MAX_N})"
+            )
     total = 0.0
     comp = 0.0
     candidate = n_applicants

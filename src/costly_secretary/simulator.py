@@ -13,11 +13,20 @@ forced-decline deviations.
 Monte Carlo aggregation is batched: trial batches draw from independent
 counter-based substreams keyed by (seed, batch index) and are reduced in a
 fixed order, so results are bit-identical for any worker count.
+
+The stream layout is the reproducibility contract.  Batch b of a run with
+seed s holds size = _BATCH trials (the last batch holds the rest) and draws
+from the Philox stream keyed (s << 64) | b.  At stage j (from 0) the
+abilities are its outputs [2j·size, (2j+1)·size) and the acceptance uniforms
+the next ``size`` outputs, one 64-bit output per double.  A stage whose
+acceptance probability is 0 or 1 reads no uniform, so the kernel jumps over
+that block without drawing it; the results are the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,31 +287,61 @@ class AggregateStats:
     seed: int
 
 
+def _skip(bitgen: np.random.BitGenerator, pos: int, count: int) -> None:
+    """Move a Philox stream that has produced ``pos`` outputs on by
+    ``count`` outputs without computing most of them.
+
+    Philox makes outputs in blocks of 4 and buffers the rest of a block, so
+    the ``-pos % 4`` buffered outputs are drawn first, whole blocks are
+    jumped, and the tail is drawn.  ``advance`` also empties the buffer, so
+    it is called only for a jump of at least one block.
+    """
+    rest = min(count, -pos % 4)
+    if rest:
+        bitgen.random_raw(rest)
+    blocks, tail = divmod(count - rest, 4)
+    if blocks:
+        bitgen.advance(blocks)
+    if tail:
+        bitgen.random_raw(tail)
+
+
 def _run_batch(
     reveals: Sequence[bool], probs: Sequence[float], size: int, key: int
 ) -> tuple[int, int, int, int]:
     """Simulate one batch; returns integer totals (successes, acceptances,
-    sum of stopping indices, sum of squared stopping indices)."""
+    sum of stopping indices, sum of squared stopping indices).
+
+    Stage j (from 0) reads the abilities at stream outputs
+    [2j·size, (2j+1)·size) and the acceptance uniforms at the next ``size``
+    outputs, one output per double.  A stage with acceptance probability 0
+    or 1 reads no uniform, so its block is jumped over instead of drawn.
+    """
     rng = np.random.Generator(np.random.Philox(key=key))
     alive = np.ones(size, dtype=bool)
     revealed_max = np.zeros(size)
     true_max = np.zeros(size)
     tau = np.zeros(size, dtype=np.int64)
     chosen = np.full(size, -1.0)
+    theta = np.empty(size)
+    u = np.empty(size)
     for j in range(len(reveals)):
-        theta = rng.random(size)
-        u = rng.random(size)
+        rng.random(out=theta)
+        q = probs[j]
+        if 0.0 < q < 1.0:
+            rng.random(out=u)
+        else:
+            _skip(rng.bit_generator, (2 * j + 1) * size, size)
         np.maximum(true_max, theta, out=true_max)
         eligible = alive
         if reveals[j]:  # only a new best completes and may be accepted
             complete = theta > revealed_max
             eligible = alive & complete
             np.copyto(revealed_max, theta, where=complete)
-        q = probs[j]
         if q > 0.0:
-            newly = eligible & (u < q)
-            tau[newly] = j + 1
-            chosen[newly] = theta[newly]
+            newly = eligible & (u < q) if q < 1.0 else eligible
+            np.copyto(tau, j + 1, where=newly)
+            np.copyto(chosen, theta, where=newly)
             alive &= ~newly
     accepted = tau > 0
     success = accepted & (chosen == true_max)
@@ -324,7 +363,8 @@ def estimate(
     """Aggregate many plays into success and stopping-time statistics.
 
     Bit-identical output for fixed (config, profile, trials, seed) no matter
-    how many workers run the batches.
+    how many workers run the batches.  ``workers`` is an upper bound: at most
+    one thread per batch and per CPU is started.
     """
     _check_profile(config, profile)
     trials = _as_count(trials, 1, "trials")
@@ -339,10 +379,11 @@ def estimate(
         size = min(_BATCH, trials - batch * _BATCH)
         return _run_batch(reveals, probs, size, key=(seed << 64) | batch)
 
-    if workers == 1 or n_batches == 1:
+    threads = min(workers, n_batches, os.cpu_count() or 1)
+    if threads == 1:
         results = [one(b) for b in range(n_batches)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(n_batches)))
     n_success = sum(r[0] for r in results)
     n_accepted = sum(r[1] for r in results)

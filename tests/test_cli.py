@@ -433,6 +433,21 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0].startswith("n,cost,n_star")
 
 
+def test_unsettled_threshold_is_a_usage_error():
+    # simulate needs n* before anything is allocated; at N = 1e12 the
+    # threshold cannot be settled in bounded time, so the command refuses
+    proc = subprocess.run(
+        [sys.executable, "-m", "costly_secretary", "simulate", "--n",
+         "1000000000000", "--cost", "0.1", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot settle the threshold")
+
+
 def test_reader_closing_the_pipe_early_exits_quietly():
     # ~6 MB of rows: the writer is still blocked on the full pipe when the
     # reader goes away after the first bytes.

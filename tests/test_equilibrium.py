@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -92,6 +94,35 @@ class TestComputeThreshold:
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         for n in range(2, 5001):
             assert compute_threshold(n) == kahan_threshold(n), n
+
+    def test_undecided_estimate_above_a_billion_fails_fast(self):
+        # at 1e12 the estimated tail sums sit within the margin of 1, and the
+        # loop would take about 6e11 steps; a child process bounds a hang
+        code = (
+            "import time\n"
+            "from costly_secretary import compute_threshold\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    compute_threshold(10**12)\n"
+            "except ValueError as exc:\n"
+            "    print(time.perf_counter() - start, exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        elapsed, message = proc.stdout.split(" ", 1)
+        assert float(elapsed) < 1.0
+        assert "cannot settle the threshold for n_applicants=1000000000000" in message
+
+    def test_loop_runs_only_up_to_the_size_limit(self, monkeypatch):
+        # no estimate clears an infinite margin: the loop answers up to the
+        # limit, and above it the call refuses
+        monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
+        monkeypatch.setattr(equilibrium, "_LOOP_MAX_N", 5000)
+        assert compute_threshold(5000) == kahan_threshold(5000)
+        with pytest.raises(ValueError, match="run only up to n_applicants=5000"):
+            compute_threshold(5001)
 
     def test_rejects_small_and_non_integer(self):
         for bad in (1, 0, -3):
