@@ -24,13 +24,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .equilibrium import _BLOCK, GameConfig, _as_count, equilibrium_accept_probs, solve_values
-from .simulator import (
-    StrategyProfile,
-    _check_profile,
-    _masses_to_stage_probs,
-    _reveals,
-    _stage_plan,
-)
+from .simulator import StrategyProfile, _masses_to_stage_probs, _reveals, _stage_plan
 
 __all__ = [
     "VerificationError",
@@ -120,13 +114,6 @@ class PolicySpec:
                     f"{config.cost} but not outright rejection"
                 )
         return reveals
-
-
-def _exact_plan(
-    config: GameConfig, policy: PolicySpec
-) -> tuple[list[bool], list[Fraction]]:
-    """The policy's stage plan in exact arithmetic (floats enter exactly)."""
-    return policy.validate_for(config), [Fraction(q) for q in policy.accept_probs]
 
 
 def _exact_walk(
@@ -224,7 +211,7 @@ def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fractio
 
     Exact rational result; convert with float() as needed.
     """
-    success, _, count, _ = _exact_walk(*_exact_plan(config, policy))
+    success, _, count, _ = _exact_walk(policy.validate_for(config), policy.accept_probs)
     return success / count
 
 
@@ -235,7 +222,7 @@ def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
     exact arithmetic, because a record accepted at stage n is the overall
     best with probability exactly n/N.
     """
-    _, tau_mass, count, _ = _exact_walk(*_exact_plan(config, policy))
+    _, tau_mass, count, _ = _exact_walk(policy.validate_for(config), policy.accept_probs)
     return tau_mass / count
 
 
@@ -417,8 +404,7 @@ def full_learning_counterexample(
     """
     if profile is None:
         profile = StrategyProfile.equilibrium(config)
-    _check_profile(config, profile)
-    return _exact_walk(*_stage_plan(profile))[3]
+    return _exact_walk(*_stage_plan(config, profile))[3]
 
 
 def full_learning_audit(
@@ -448,6 +434,7 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
         return (
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
-    plan = _exact_plan(config, PolicySpec.equilibrium(config))
+    policy = PolicySpec.equilibrium(config)
+    plan = policy.validate_for(config), policy.accept_probs
     success, _, count, _ = _exact_walk(*plan, stage, state)
     return success / count

@@ -1,4 +1,4 @@
-"""Forward play of the interview game under per-stage strategy rules.
+"""Monte Carlo play of the interview game under per-stage strategy rules.
 
 A strategy profile pairs, for every stage, an administrator acceptance rule
 with the applicant's interview decision.  A *learning* stage accepts a
@@ -8,7 +8,8 @@ when their ability beats all previous outputs and the acceptance probability
 covers the interview cost.  A *non-learning* stage accepts blindly with a
 fixed probability and the applicant never completes.  This covers the solved
 policy, the decline-everything profiles, partial-learning mixtures, and
-forced-decline deviations.
+forced-decline deviations.  A profile is read once into a stage plan, which
+the batch kernel here and the oracle's N! walk play.
 
 Monte Carlo aggregation is batched: trial batches draw from independent
 counter-based substreams keyed by (seed, batch index) and are reduced in a
@@ -30,7 +31,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,13 +40,8 @@ from .equilibrium import GameConfig, _as_count, _check_cost, equilibrium_accept_
 __all__ = [
     "StageRule",
     "StrategyProfile",
-    "GameTranscript",
     "AggregateStats",
-    "IncentiveViolation",
-    "sample_abilities",
-    "play_game",
     "estimate",
-    "incentive_audit",
 ]
 
 _BATCH = 32768  # fixed batch width; part of the reproducibility contract
@@ -155,7 +151,18 @@ def _masses_to_stage_probs(
     return probs
 
 
-def _check_profile(config: GameConfig, profile: StrategyProfile) -> None:
+def _stage_plan(
+    config: GameConfig, profile: StrategyProfile
+) -> tuple[list[bool], list[float]]:
+    """Check the profile against the instance and read it into per-stage
+    reveal flags and acceptance probabilities: the one reading of a profile
+    that Monte Carlo and the prefix audit share.
+
+    At a revealing stage only a new best completes, and only a completed
+    interview may be accepted.  A learning stage that nobody completes
+    accepts nothing, so it plays as a blind stage with acceptance
+    probability zero.
+    """
     if profile.n_stages != config.n_applicants:
         raise ValueError(
             f"profile has {profile.n_stages} stages, instance has "
@@ -165,17 +172,6 @@ def _check_profile(config: GameConfig, profile: StrategyProfile) -> None:
         raise ValueError(
             f"profile cost {profile.cost} does not match instance cost {config.cost}"
         )
-
-
-def _stage_plan(profile: StrategyProfile) -> tuple[list[bool], list[float]]:
-    """Per-stage reveal flags and acceptance probabilities: the one reading
-    of a profile that forward play, Monte Carlo and the prefix audit share.
-
-    At a revealing stage only a new best completes, and only a completed
-    interview may be accepted.  A learning stage that nobody completes
-    accepts nothing, so it plays as a blind stage with acceptance
-    probability zero.
-    """
     reveals = []
     probs = []
     for r in profile.stages:
@@ -183,88 +179,6 @@ def _stage_plan(profile: StrategyProfile) -> tuple[list[bool], list[float]]:
         reveals.append(live)
         probs.append(r.accept_prob if live or not r.learning else 0.0)
     return reveals, probs
-
-
-def sample_abilities(n_applicants: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw i.i.d. uniform abilities on (0, 1), redrawing exact collisions.
-
-    The returned 1-d array is positive and pairwise distinct by
-    construction.
-
-    Only the rank order matters downstream; i.i.d. uniforms make every
-    arrival order equally likely.
-    """
-    n_applicants = _as_count(n_applicants, 2, "n_applicants")
-    seen: set[float] = set()
-    values: list[float] = []
-    while len(values) < n_applicants:
-        x = float(rng.random())
-        if x <= 0.0 or x in seen:
-            continue
-        seen.add(x)
-        values.append(x)
-    return np.asarray(values)
-
-
-@dataclass(frozen=True, eq=False)
-class GameTranscript:
-    """One play of the game.
-
-    ``actions``/``outputs``/``applicant_payoffs`` stop at the accepted
-    applicant (or run to the end if nobody is accepted); ``abilities`` keeps
-    the full draw since success is judged against the overall best.
-    ``accepted_index`` is the 1-based position of the accepted applicant or
-    None.  Payoffs follow the three-case table: 1-cost if accepted after
-    completing, -cost if rejected after completing, 0 otherwise.
-    """
-
-    abilities: np.ndarray
-    actions: tuple[int, ...]
-    outputs: tuple[float, ...]
-    accepted_index: Optional[int]
-    success: bool
-    applicant_payoffs: tuple[float, ...]
-
-
-def play_game(
-    config: GameConfig, profile: StrategyProfile, rng: np.random.Generator
-) -> GameTranscript:
-    """Play one game forward and record the transcript."""
-    _check_profile(config, profile)
-    reveals, probs = _stage_plan(profile)
-    theta = sample_abilities(config.n_applicants, rng)
-    actions: list[int] = []
-    outputs: list[float] = []
-    accepted: Optional[int] = None
-    past_max = 0.0
-    for j, ability in enumerate(theta.tolist()):
-        act = int(reveals[j] and ability > past_max)
-        y = ability if act else 0.0
-        actions.append(act)
-        outputs.append(y)
-        p = probs[j] if act or not reveals[j] else 0.0
-        if p >= 1.0 or (p > 0.0 and rng.random() < p):
-            accepted = j + 1
-            break
-        if act:
-            past_max = y
-    success = accepted is not None and float(theta[accepted - 1]) == float(theta.max())
-    payoffs = []
-    for k, act in enumerate(actions, start=1):
-        if act and k == accepted:
-            payoffs.append(1.0 - config.cost)
-        elif act:
-            payoffs.append(-config.cost)
-        else:
-            payoffs.append(0.0)
-    return GameTranscript(
-        abilities=theta,
-        actions=tuple(actions),
-        outputs=tuple(outputs),
-        accepted_index=accepted,
-        success=success,
-        applicant_payoffs=tuple(payoffs),
-    )
 
 
 @dataclass(frozen=True)
@@ -366,13 +280,12 @@ def estimate(
     how many workers run the batches.  ``workers`` is an upper bound: at most
     one thread per batch and per CPU is started.
     """
-    _check_profile(config, profile)
+    reveals, probs = _stage_plan(config, profile)
     trials = _as_count(trials, 1, "trials")
     seed = _as_count(seed, 0, "seed")
     if seed >= 2**64:
         raise ValueError("seed must fit in 64 bits")
     workers = _as_count(workers, 1, "workers")
-    reveals, probs = _stage_plan(profile)
     n_batches = (trials + _BATCH - 1) // _BATCH
 
     def one(batch: int) -> tuple[int, int, int, int]:
@@ -407,51 +320,3 @@ def estimate(
         tau_se=math.sqrt(tau_var / trials),
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class IncentiveViolation:
-    stage: int
-    code: str
-    detail: str
-
-
-def incentive_audit(
-    config: GameConfig, profile: StrategyProfile
-) -> list[IncentiveViolation]:
-    """Check the profile's incentive constraints stage by stage.
-
-    Flags learning stages whose record-acceptance probability falls short of
-    the cost, and stages whose completion behavior contradicts the sign of
-    the applicant's payoff from completing.  A learning stage never accepts
-    a non-record output (see ``_stage_plan``), so that needs no check.
-    Returns an empty list for the solved profile and for pure
-    blind-acceptance profiles.
-    """
-    _check_profile(config, profile)
-    out: list[IncentiveViolation] = []
-    for n, r in enumerate(profile.stages, start=1):
-        if not r.learning:
-            continue
-        if not _reveals(True, r.accept_prob, config.cost):
-            out.append(
-                IncentiveViolation(
-                    stage=n,
-                    code="record-acceptance-below-cost",
-                    detail=(
-                        f"record acceptance {r.accept_prob} < cost {config.cost} "
-                        "at a stage expecting a completed interview"
-                    ),
-                )
-            )
-        # Completing never happens unless it pays, so the only mismatch is a
-        # forced decline where completing pays.
-        elif r.force_decline:
-            out.append(
-                IncentiveViolation(
-                    stage=n,
-                    code="completion-mismatch",
-                    detail="profile declines although completing pays",
-                )
-            )
-    return out

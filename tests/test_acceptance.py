@@ -18,6 +18,7 @@ from costly_secretary import (
     compute_threshold,
     compute_threshold_sequence,
     convergence_report,
+    equilibrium_accept_probs,
     estimate,
     exact_success_probability,
     expected_stopping_time,
@@ -69,6 +70,24 @@ def test_criterion_03_three_way_agreement():
     )
 
 
+def stopping_time_by_recursion(cfg):
+    """E[tau] along the solved plan by backward recursion, using only the
+    record probability 1/n and never the success factor n/N.
+
+    t1 is the expected accepted index (0 for nobody) from stage n on given
+    a record at stage n; t0 is the same before stage n's rank is seen, which
+    is also the value at stage n - 1 without a record, since the solved plan
+    accepts only records.
+    """
+    t0 = 0.0
+    probs = equilibrium_accept_probs(cfg)
+    for n in range(cfg.n_applicants, 0, -1):
+        q = probs[n - 1]
+        t1 = q * n + (1 - q) * t0
+        t0 = t1 / n + (1 - 1 / n) * t0
+    return t0
+
+
 def test_criterion_04_stopping_identity():
     sizes = list(range(2, 101)) + sorted(
         {int(round(v)) for v in np.geomspace(100, 1000, 25)}
@@ -78,7 +97,8 @@ def test_criterion_04_stopping_identity():
         for n_apps in sizes:
             cfg = GameConfig(n_apps, cost)
             gap = abs(
-                expected_stopping_time(cfg) - n_apps * closed_form_success(cfg)
+                stopping_time_by_recursion(cfg)
+                - n_apps * solve_values(cfg).success_probability
             )
             worst = max(worst, gap)
     report(

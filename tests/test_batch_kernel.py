@@ -173,8 +173,8 @@ KERNEL_KEYS = [0, 5, ((2**63 + 9) << 64) | 3, ((2**64 - 1) << 64) | 2]
 @pytest.mark.parametrize("plan", KERNEL_PLANS, ids=repr)
 def test_kernel_matches_plain_kernel(plan):
     kind, n_apps, cost = plan
-    _, profile = PROFILES[kind](n_apps, cost)
-    reveals, probs = simulator._stage_plan(profile)
+    config, profile = PROFILES[kind](n_apps, cost)
+    reveals, probs = simulator._stage_plan(config, profile)
     for size in KERNEL_SIZES:
         for key in KERNEL_KEYS:
             want = plain_run_batch(reveals, probs, size, key)

@@ -19,7 +19,6 @@ from costly_secretary import (
     full_learning_audit,
     full_learning_counterexample,
     optimality_scan,
-    play_game,
     policy_success_probability,
     solve_values,
 )
@@ -284,7 +283,8 @@ class TestPrefixWalk:
                           force_decline=rand.random() < 0.15)
                 for _ in range(n_apps)
             ]
-            float_plan = _stage_plan(StrategyProfile(cost, tuple(rules)))
+            profile = StrategyProfile(cost, tuple(rules))
+            float_plan = _stage_plan(GameConfig(n_apps, cost), profile)
             exact_plan = (float_plan[0], [Fraction(q) for q in float_plan[1]])
             stage = rand.randint(1, n_apps)
             state = 1 if stage == 1 else rand.randint(0, 1)
@@ -555,5 +555,4 @@ def test_enumeration_and_monte_carlo_never_call_the_solver(monkeypatch):
     assert exact_state_value(cfg, 2, 1) > 0
     profile = StrategyProfile.equilibrium(cfg)
     assert full_learning_counterexample(cfg, profile) is None
-    assert play_game(cfg, profile, np.random.default_rng(0)).accepted_index
     assert estimate(cfg, profile, 1000, 0).trials == 1000

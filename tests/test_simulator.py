@@ -6,20 +6,41 @@ import pytest
 
 from costly_secretary import (
     GameConfig,
+    PolicySpec,
     StageRule,
     StrategyProfile,
     closed_form_success,
     equilibrium_accept_probs,
     estimate,
     expected_stopping_time,
-    incentive_audit,
-    play_game,
-    sample_abilities,
+    full_learning_counterexample,
+    simulator,
 )
 
 
 def rng_for(seed):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def play_one(config, profile, key):
+    """One game played by the batch kernel with a single trial.
+
+    Returns the game's abilities and acceptance uniforms, read from the
+    stream layout (with one trial, stage j draws its ability at output 2j
+    and its uniform at output 2j + 1), the stage the kernel accepted at (0
+    for nobody) and whether that hired the overall best.
+    """
+    draws = rng_for(key).random(2 * config.n_applicants)
+    plan = simulator._stage_plan(config, profile)
+    success, _, tau, _ = simulator._run_batch(*plan, 1, key)
+    return draws[0::2], draws[1::2], tau, bool(success)
+
+
+def record_at(n, n_apps):
+    """With no cost: every stage reveals, records before stage n are
+    rejected, and a record at stage n is accepted outright."""
+    rules = tuple(StageRule(True, float(k == n)) for k in range(1, n_apps + 1))
+    return StrategyProfile(cost=0.0, stages=rules)
 
 
 class TestProfiles:
@@ -36,20 +57,19 @@ class TestProfiles:
         cfg = GameConfig(4, 0.3)
         profile = StrategyProfile.equilibrium(cfg)
         assert [r.accept_prob for r in profile.stages] == [0.3, 1.0, 1.0, 1.0]
-        # records are accepted per the rule, anything else never: every
-        # accepted applicant completed and was the best so far, and a record
-        # after stage 1 is always accepted
-        rng = rng_for(3)
+        assert simulator._stage_plan(cfg, profile) == ([True] * 4, [0.3, 1.0, 1.0, 1.0])
+        # records are accepted per the rule, anything else never: stage 1
+        # accepts when its uniform falls below 0.3, and otherwise the first
+        # record after stage 1 is accepted
         accepted_first = 0
-        for _ in range(2000):
-            t = play_game(cfg, profile, rng)
-            for k, act in enumerate(t.actions):
-                assert act == (t.abilities[k] > max(t.abilities[:k], default=0.0))
-                if k + 1 == t.accepted_index:
-                    assert act
-                elif k >= 1:
-                    assert not act
-            accepted_first += t.accepted_index == 1
+        for key in range(2000):
+            theta, u, tau, _ = play_one(cfg, profile, key)
+            later = [k + 1 for k in range(1, 4) if theta[k] > theta[:k].max()]
+            if u[0] < 0.3:
+                assert tau == 1
+            else:
+                assert tau == (later[0] if later else 0)
+            accepted_first += tau == 1
         assert 0 < accepted_first < 2000
 
     def test_no_learning_masses_become_stage_probabilities(self):
@@ -71,23 +91,18 @@ class TestProfiles:
             StrategyProfile.no_learning(cfg, [0.5, 0.5])
         with pytest.raises(ValueError):
             StageRule(True, 1.5)
-        profile = StrategyProfile.equilibrium(GameConfig(4, 0.2))
-        with pytest.raises(ValueError):
-            play_game(cfg, profile, rng_for(0))
+        for other in (GameConfig(4, 0.2), GameConfig(3, 0.3)):
+            profile = StrategyProfile.equilibrium(other)
+            with pytest.raises(ValueError):
+                simulator._stage_plan(cfg, profile)
+            with pytest.raises(ValueError):
+                estimate(cfg, profile, 10, seed=0)
 
 
 class TestSampleAbilities:
-    def test_distinct_and_positive(self):
-        rng = rng_for(7)
-        for _ in range(200):
-            draw = sample_abilities(10, rng)
-            assert draw.shape == (10,)
-            assert np.all(draw > 0)
-            assert len(set(draw.tolist())) == 10
-
     def test_record_frequencies_match_inverse_rank(self):
         # the per-stage record probability is 1/n; check the same i.i.d.
-        # uniform scheme the scalar sampler uses, at a million draws
+        # uniform scheme the batch kernel uses, at a million draws
         rng = rng_for(11)
         draws = rng.random((10**6, 10))
         running = np.maximum.accumulate(draws, axis=1)
@@ -98,26 +113,22 @@ class TestSampleAbilities:
             se = math.sqrt(p * (1 - p) / 10**6)
             assert abs(freq[n - 1] - p) <= 4 * se + 1e-12
 
-    def test_record_frequencies_scalar_path(self):
-        rng = rng_for(13)
+    def test_record_frequencies_played_by_kernel(self):
+        # stage n holds a record, and so is accepted, 1/n of the time
+        cfg = GameConfig(5, 0.0)
         trials = 20000
-        hits = np.zeros(5)
-        for _ in range(trials):
-            draw = sample_abilities(5, rng)
-            running = np.maximum.accumulate(draw)
-            hits += draw >= running
         for n in range(1, 6):
+            stats = estimate(cfg, record_at(n, 5), trials, seed=13 + n)
             p = 1.0 / n
             se = math.sqrt(p * (1 - p) / trials)
-            assert abs(hits[n - 1] / trials - p) <= 4 * se
+            assert abs(stats.acceptance_rate - p) <= 4 * se
 
     def test_symmetry_two_applicants(self):
-        rng = rng_for(17)
-        wins = sum(
-            sample_abilities(2, rng).argmax() == 1 for _ in range(20000)
-        )
+        # blind acceptance of the second applicant hires the best half the time
+        cfg = GameConfig(2, 0.0)
+        stats = estimate(cfg, StrategyProfile.no_learning(cfg, [0.0, 1.0]), 20000, seed=17)
         se = math.sqrt(0.25 / 20000)
-        assert abs(wins / 20000 - 0.5) <= 4 * se
+        assert abs(stats.success_rate - 0.5) <= 4 * se
 
     def test_record_indicators_independent(self):
         # exact at N=3: records at stages 2 and 3 jointly in 1 of 6 orders
@@ -137,144 +148,95 @@ class TestSampleAbilities:
 
 
 class TestApplicantAction:
-    """Interview decisions, read off play_game transcripts."""
+    """Interview decisions, read off the stage plan and single games."""
 
     def test_below_past_maximum_declines(self):
         cfg = GameConfig(5, 0.3)
         profile = StrategyProfile.equilibrium(cfg)
-        rng = rng_for(43)
         declined = 0
-        for _ in range(2000):
-            t = play_game(cfg, profile, rng)
-            for k, act in enumerate(t.actions):
-                if t.abilities[k] < max(t.outputs[:k], default=0.0):
-                    assert act == 0
-                    declined += 1
+        for key in range(2000):
+            theta, _, tau, _ = play_one(cfg, profile, key)
+            # an applicant below the best so far declines, so is never accepted
+            if tau:
+                assert theta[tau - 1] > theta[: tau - 1].max(initial=0.0)
+            declined += sum(theta[k] < theta[:k].max() for k in range(1, tau or 5))
         assert declined > 0
 
     def test_stage_one_always_completes(self):
         for cost in (0.0, 0.5, 0.9):
             cfg = GameConfig(5, cost)
             profile = StrategyProfile.equilibrium(cfg)
-            rng = rng_for(47)
-            for _ in range(200):
-                assert play_game(cfg, profile, rng).actions[0] == 1
+            reveals, probs = simulator._stage_plan(cfg, profile)
+            assert reveals[0]
+            # so only the administrator's coin decides stage 1
+            for key in range(200):
+                _, u, tau, _ = play_one(cfg, profile, key)
+                assert (tau == 1) == (u[0] < probs[0])
 
     def test_no_learning_always_declines(self):
         cfg = GameConfig(5, 0.3)
         profile = StrategyProfile.no_learning(cfg, [0.6, 0.1, 0.1, 0.1, 0.1])
-        rng = rng_for(53)
-        for _ in range(500):
-            assert not any(play_game(cfg, profile, rng).actions)
+        reveals, probs = simulator._stage_plan(cfg, profile)
+        assert reveals == [False] * 5
+        # nobody completes, so the coins alone pick the stage
+        for key in range(500):
+            _, u, tau, _ = play_one(cfg, profile, key)
+            coins = [k + 1 for k in range(5) if u[k] < probs[k]]
+            assert tau == (coins[0] if coins else 0)
 
     def test_record_with_insufficient_incentive_declines(self):
         cfg = GameConfig(5, 0.3)
         rules = tuple(StageRule(True, 0.1) for _ in range(5))
         profile = StrategyProfile(cost=0.3, stages=rules)
-        rng = rng_for(59)
-        for _ in range(500):
-            t = play_game(cfg, profile, rng)
-            # nobody completes, and a stage nobody completes accepts nothing
-            assert t.actions == (0,) * 5
-            assert t.accepted_index is None
-
-
-def check_transcript(transcript, config):
-    n_seen = len(transcript.actions)
-    assert len(transcript.outputs) == n_seen
-    assert len(transcript.applicant_payoffs) == n_seen
-    if transcript.accepted_index is None:
-        assert n_seen == config.n_applicants
-    else:
-        assert n_seen == transcript.accepted_index
-    # outputs reveal ability exactly when the interview was completed
-    for k in range(n_seen):
-        expected = transcript.abilities[k] if transcript.actions[k] else 0.0
-        assert transcript.outputs[k] == expected
-    # success means the accepted applicant is the overall best
-    best = transcript.abilities.argmax() + 1
-    assert transcript.success == (transcript.accepted_index == best)
-    # payoff table
-    for k in range(n_seen):
-        a = transcript.actions[k]
-        accepted = transcript.accepted_index == k + 1
-        if a and accepted:
-            assert transcript.applicant_payoffs[k] == 1.0 - config.cost
-        elif a:
-            assert transcript.applicant_payoffs[k] == -config.cost
-        else:
-            assert transcript.applicant_payoffs[k] == 0.0
+        # nobody completes, and a stage nobody completes accepts nothing
+        assert simulator._stage_plan(cfg, profile) == ([False] * 5, [0.0] * 5)
+        assert estimate(cfg, profile, 500, seed=59).acceptance_rate == 0.0
 
 
 class TestPlayGame:
+    """Single games, played by the batch kernel with one trial."""
+
     def test_transcript_invariants_equilibrium(self):
         cfg = GameConfig(6, 0.4)
         profile = StrategyProfile.equilibrium(cfg)
-        rng = rng_for(23)
-        for _ in range(3000):
-            t = play_game(cfg, profile, rng)
-            check_transcript(t, cfg)
-            # full-learning prefix property and record classification
-            run_theta = 0.0
-            run_y = 0.0
-            for k in range(len(t.outputs)):
-                is_record = t.abilities[k] > run_theta
-                assert (t.outputs[k] > run_y) == is_record
-                run_theta = max(run_theta, float(t.abilities[k]))
-                run_y = max(run_y, t.outputs[k])
-                assert run_theta == run_y
+        for key in range(3000):
+            theta, _, tau, success = play_one(cfg, profile, key)
+            # only a record is accepted, and success means the accepted
+            # applicant is the overall best
+            if tau:
+                assert theta[tau - 1] == theta[:tau].max()
+            assert success == (tau > 0 and theta[tau - 1] == theta.max())
+        # outputs track the running maximum of abilities on every prefix
+        assert full_learning_counterexample(cfg, profile) is None
 
     def test_two_applicants_no_cost(self):
         cfg = GameConfig(2, 0.0)
         profile = StrategyProfile.equilibrium(cfg)
-        rng = rng_for(29)
-        for _ in range(500):
-            t = play_game(cfg, profile, rng)
-            assert t.accepted_index == 1
-            assert t.success == (t.abilities[0] > t.abilities[1])
+        for key in range(500):
+            theta, _, tau, success = play_one(cfg, profile, key)
+            assert tau == 1
+            assert success == (theta[0] > theta[1])
 
     def test_accept_first_blindly(self):
         cfg = GameConfig(6, 0.4)
         profile = StrategyProfile.no_learning(cfg, [1.0, 0, 0, 0, 0, 0])
-        rng = rng_for(31)
-        hits = 0
         trials = 6000
-        for _ in range(trials):
-            t = play_game(cfg, profile, rng)
-            assert t.accepted_index == 1
-            check_transcript(t, cfg)
-            hits += t.success
+        stats = estimate(cfg, profile, trials, seed=31)
+        assert stats.acceptance_rate == 1.0
+        assert stats.mean_tau_unconditional == 1.0
         se = math.sqrt((1 / 6) * (5 / 6) / trials)
-        assert abs(hits / trials - 1 / 6) <= 4 * se
-
-    def test_transcripts_no_learning(self):
-        cfg = GameConfig(5, 0.3)
-        profile = StrategyProfile.no_learning(cfg, [0.2] * 5)
-        rng = rng_for(37)
-        for _ in range(2000):
-            t = play_game(cfg, profile, rng)
-            check_transcript(t, cfg)
-            assert all(a == 0 for a in t.actions)
+        assert abs(stats.success_rate - 1 / 6) <= 4 * se
 
     def test_conditional_success_given_acceptance_stage(self):
         # a record accepted at stage n is the overall best n/N of the time
-        cfg = GameConfig(5, 0.3)
-        profile = StrategyProfile.equilibrium(cfg)
-        rng = rng_for(41)
+        cfg = GameConfig(5, 0.0)
         trials = 25000
-        accepts = np.zeros(6)
-        wins = np.zeros(6)
-        for _ in range(trials):
-            t = play_game(cfg, profile, rng)
-            if t.accepted_index is not None:
-                accepts[t.accepted_index] += 1
-                wins[t.accepted_index] += t.success
         for n in range(1, 6):
-            if accepts[n] < 200:
-                continue
+            stats = estimate(cfg, record_at(n, 5), trials, seed=41 + n)
+            accepts = stats.acceptance_rate * trials
             p = n / 5
-            se = math.sqrt(p * (1 - p) / accepts[n])
-            assert abs(wins[n] / accepts[n] - p) <= 4 * se + 1e-12
+            se = math.sqrt(p * (1 - p) / accepts)
+            assert abs(stats.success_rate / stats.acceptance_rate - p) <= 4 * se + 1e-12
 
 
 class TestEstimate:
@@ -337,32 +299,44 @@ class TestEstimate:
 
 
 class TestIncentiveAudit:
+    """The incentive constraints of a profile, as the stage plan, the oracle's
+    policy check and the full-learning audit read them."""
+
     def test_equilibrium_clean_on_grid(self):
         for n_apps in (2, 3, 7, 20):
             for cost in (0.0, 0.1, 0.5, 0.9):
                 cfg = GameConfig(n_apps, cost)
-                assert incentive_audit(cfg, StrategyProfile.equilibrium(cfg)) == []
+                # every record acceptance covers the cost, so every stage reveals
+                profile = StrategyProfile.equilibrium(cfg)
+                assert simulator._stage_plan(cfg, profile)[0] == [True] * n_apps
+                assert PolicySpec.equilibrium(cfg).validate_for(cfg) == [True] * n_apps
 
     def test_underpaying_record_stage_flagged(self):
         cfg = GameConfig(4, 0.4)
+        probs = list(equilibrium_accept_probs(cfg))
+        probs[1] = 0.2  # cost/2 at a record stage
+        with pytest.raises(ValueError, match="stage 2: record acceptance 0.2 is below"):
+            PolicySpec(tuple(probs), (True,) * 4).validate_for(cfg)
         rules = list(StrategyProfile.equilibrium(cfg).stages)
-        rules[1] = StageRule(True, 0.2)  # cost/2 at a record stage
-        violations = incentive_audit(cfg, StrategyProfile(0.4, tuple(rules)))
-        assert any(
-            v.stage == 2 and v.code == "record-acceptance-below-cost"
-            for v in violations
-        )
+        rules[1] = StageRule(True, 0.2)
+        reveals, plan_probs = simulator._stage_plan(cfg, StrategyProfile(0.4, tuple(rules)))
+        assert reveals == [True, False, True, True]
+        assert plan_probs[1] == 0.0
 
     def test_no_learning_clean(self):
         cfg = GameConfig(5, 0.6)
         profile = StrategyProfile.no_learning(cfg, [0.2] * 5)
-        assert incentive_audit(cfg, profile) == []
+        reveals, probs = simulator._stage_plan(cfg, profile)
+        assert reveals == [False] * 5
+        assert probs == [r.accept_prob for r in profile.stages]
+        assert PolicySpec.from_acceptance_masses([0.2] * 5).validate_for(cfg) == [False] * 5
 
     def test_forced_decline_mismatch_flagged(self):
         cfg = GameConfig(3, 0.2)
         rules = list(StrategyProfile.equilibrium(cfg).stages)
         rules[1] = StageRule(True, 1.0, force_decline=True)
-        violations = incentive_audit(cfg, StrategyProfile(0.2, tuple(rules)))
-        assert any(
-            v.stage == 2 and v.code == "completion-mismatch" for v in violations
-        )
+        profile = StrategyProfile(0.2, tuple(rules))
+        # stage 2 reveals nothing although completing pays, so a new best
+        # there breaks the full-learning prefix
+        assert simulator._stage_plan(cfg, profile)[0] == [True, False, True]
+        assert full_learning_counterexample(cfg, profile) == ((1, 2, 3), 2)
