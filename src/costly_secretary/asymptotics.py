@@ -1,5 +1,5 @@
-"""Large-market diagnostics: gamma evaluation, limit constants, threshold
-bounds, and convergence reports for the costly-interview hiring game.
+"""Large-market diagnostics: limit constants, threshold bounds, and
+convergence reports for the costly-interview hiring game.
 
 The success probability decays like K * N^(-cost) with
 K = e^(cost-1) / Gamma(2-cost); the threshold stage sits between N/e and
@@ -23,29 +23,17 @@ from .equilibrium import (
 
 __all__ = [
     "AsymptoticReport",
-    "gamma",
     "limit_constant",
     "threshold_bounds",
     "gauss_product_check",
     "convergence_report",
 ]
 
-def gamma(x: float) -> float:
-    """Gamma function for positive real arguments.
-
-    ``math.gamma`` behind an argument check; the limit constants need
-    Gamma(1-cost) and Gamma(2-cost) with cost in [0, 1).
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma requires a positive finite argument, got {x!r}")
-    return math.gamma(x)
-
 
 def limit_constant(cost: float) -> float:
     """Limit of N^cost * success probability as N grows: e^(cost-1)/Gamma(2-cost)."""
     cost = _check_cost(cost)
-    return math.exp(cost - 1.0) / gamma(2.0 - cost)
+    return math.exp(cost - 1.0) / math.gamma(2.0 - cost)
 
 
 def threshold_bounds(n_applicants: int) -> tuple[float, float]:
@@ -58,7 +46,7 @@ def gauss_product_check(cost: float, n: int) -> float:
     """n^cost times the record survival product through stage n.
 
     Converges to 1/Gamma(1-cost) as n grows, which makes the slowly
-    convergent product a useful independent check on the gamma evaluation.
+    convergent product a useful independent check on ``math.gamma``.
     """
     cost = _check_cost(cost)
     n = _as_count(n, 1, "n")

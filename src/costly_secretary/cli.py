@@ -33,14 +33,13 @@ from .equilibrium import (
     solve_values,
 )
 from .oracle import (
-    PolicySpec,
     VerificationError,
     exact_expected_tau,
     exact_success_probability,
     full_learning_audit,
     optimality_scan,
 )
-from .simulator import StrategyProfile, estimate
+from .simulator import PolicySpec, StrategyProfile, estimate
 
 __all__ = ["run", "main"]
 

@@ -1,4 +1,5 @@
-"""Exact desk-scale verification for the costly-interview hiring game.
+"""Exact desk-scale evaluation of stage plans, as ``PolicySpec.plan`` and
+``StrategyProfile.plan`` read them, for the costly-interview hiring game.
 
 Everything here is deliberately independent of the backward-induction
 solver: success probabilities are obtained by enumerating all N! arrival
@@ -19,16 +20,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .equilibrium import _BLOCK, GameConfig, _as_count, equilibrium_accept_probs, solve_values
-from .simulator import StrategyProfile, _masses_to_stage_probs, _reveals, _stage_plan
+from .simulator import PolicySpec, StrategyProfile
 
 __all__ = [
     "VerificationError",
-    "PolicySpec",
     "ScanReport",
     "exact_success_probability",
     "exact_expected_tau",
@@ -42,82 +42,14 @@ __all__ = [
 _MAX_ENUM = 10
 _MAX_POLICIES = 5_000_000
 _MAX_KEPT = 256
-Prob = Union[float, Fraction]
 
 
 class VerificationError(RuntimeError):
     """An exact check that should hold for the solved policy failed."""
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """Per-stage acceptance plan evaluated by the oracle.
-
-    A learning stage accepts a strictly new positive maximum with the stated
-    probability (zero means outright rejection, which also removes any reason
-    to complete the interview); a non-learning stage accepts blindly with the
-    stated probability and reveals nothing.  Learning stages must offer
-    either zero or at least the interview cost, otherwise no applicant would
-    complete.
-    """
-
-    accept_probs: tuple
-    learning: tuple
-
-    def __post_init__(self) -> None:
-        probs = tuple(self.accept_probs)
-        flags = tuple(bool(f) for f in self.learning)
-        if len(probs) != len(flags):
-            raise ValueError("accept_probs and learning must have equal length")
-        for p in probs:
-            if not 0 <= p <= 1:
-                raise ValueError(f"acceptance probability {p!r} outside [0, 1]")
-        object.__setattr__(self, "accept_probs", probs)
-        object.__setattr__(self, "learning", flags)
-
-    @classmethod
-    def equilibrium(cls, config: GameConfig) -> "PolicySpec":
-        probs = tuple(equilibrium_accept_probs(config))
-        return cls(accept_probs=probs, learning=(True,) * config.n_applicants)
-
-    @classmethod
-    def from_acceptance_masses(cls, masses: Sequence[Prob]) -> "PolicySpec":
-        """Blind policy from unconditional acceptance masses.
-
-        ``masses`` gives the total probability of accepting each applicant
-        (non-negative, summing to at most 1); any mass vector summing to 1
-        hires the best with probability exactly 1/N.  The masses enter
-        exactly, so the conditional per-stage probabilities are exact
-        Fractions.
-        """
-        probs = _masses_to_stage_probs([Fraction(p) for p in masses])
-        return cls(accept_probs=tuple(probs), learning=(False,) * len(probs))
-
-    def validate_for(self, config: GameConfig) -> list[bool]:
-        """Check the policy against the instance; return which stages reveal
-        a current best.
-
-        A learning stage that nobody completes must offer zero, so it plays
-        as a blind stage with acceptance probability zero.
-        """
-        if len(self.accept_probs) != config.n_applicants:
-            raise ValueError(
-                f"policy has {len(self.accept_probs)} stages, instance has "
-                f"{config.n_applicants} applicants"
-            )
-        reveals = []
-        for n, (q, learn) in enumerate(zip(self.accept_probs, self.learning), start=1):
-            reveals.append(_reveals(learn, q, config.cost))
-            if learn and q != 0 and not reveals[-1]:
-                raise ValueError(
-                    f"stage {n}: record acceptance {q!r} is below the cost "
-                    f"{config.cost} but not outright rejection"
-                )
-        return reveals
-
-
 def _exact_walk(
-    reveals: Sequence[bool], probs: Sequence[Prob], stage: int = 1, state: int = 1
+    reveals: Sequence[bool], probs: Sequence[float | Fraction], stage: int = 1, state: int = 1
 ) -> tuple[Fraction, Fraction, int, Optional[tuple[tuple[int, ...], int]]]:
     """Walk, from ``stage`` on, every arrival order in which the stage's
     applicant is (state 1) or is not (state 0) the best so far; from stage 1
@@ -211,7 +143,7 @@ def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fractio
 
     Exact rational result; convert with float() as needed.
     """
-    success, _, count, _ = _exact_walk(policy.validate_for(config), policy.accept_probs)
+    success, _, count, _ = _exact_walk(*policy.plan(config))
     return success / count
 
 
@@ -222,7 +154,7 @@ def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
     exact arithmetic, because a record accepted at stage n is the overall
     best with probability exactly n/N.
     """
-    _, tau_mass, count, _ = _exact_walk(policy.validate_for(config), policy.accept_probs)
+    _, tau_mass, count, _ = _exact_walk(*policy.plan(config))
     return tau_mass / count
 
 
@@ -237,8 +169,8 @@ def policy_success_probability(config: GameConfig, policy: PolicySpec) -> float:
     same recursion; it is cross-checked against the exhaustive enumeration
     in the test suite.
     """
-    reveals = policy.validate_for(config)
-    stages = zip(reveals, [float(q) for q in policy.accept_probs])
+    reveals, probs = policy.plan(config)
+    stages = zip(reveals, [float(q) for q in probs])
     return float(_stage_recursion(stages, config.n_applicants))
 
 
@@ -404,7 +336,7 @@ def full_learning_counterexample(
     """
     if profile is None:
         profile = StrategyProfile.equilibrium(config)
-    return _exact_walk(*_stage_plan(config, profile))[3]
+    return _exact_walk(*profile.plan(config))[3]
 
 
 def full_learning_audit(
@@ -434,7 +366,6 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
         return (
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
-    policy = PolicySpec.equilibrium(config)
-    plan = policy.validate_for(config), policy.accept_probs
+    plan = PolicySpec.equilibrium(config).plan(config)
     success, _, count, _ = _exact_walk(*plan, stage, state)
     return success / count

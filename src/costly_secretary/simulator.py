@@ -1,15 +1,17 @@
-"""Monte Carlo play of the interview game under per-stage strategy rules.
+"""The two per-stage plan types of the interview game, the one reader of
+their stage plans, and the Monte Carlo play of a strategy profile.
 
-A strategy profile pairs, for every stage, an administrator acceptance rule
-with the applicant's interview decision.  A *learning* stage accepts a
-strictly new positive maximum output with some probability and everything
-else with probability zero; the applicant completes the interview exactly
-when their ability beats all previous outputs and the acceptance probability
-covers the interview cost.  A *non-learning* stage accepts blindly with a
-fixed probability and the applicant never completes.  This covers the solved
-policy, the decline-everything profiles, partial-learning mixtures, and
-forced-decline deviations.  A profile is read once into a stage plan, which
-the batch kernel here and the oracle's N! walk play.
+A *learning* stage accepts a strictly new positive maximum output with some
+probability and everything else with probability zero; the applicant
+completes the interview exactly when their ability beats all previous
+outputs and the acceptance probability covers the interview cost.  A
+*non-learning* (blind) stage accepts with a fixed probability and the
+applicant never completes.  A ``StrategyProfile`` holds float stage rules
+bound to a cost, with forced-decline deviations; a ``PolicySpec`` holds
+cost-free acceptance probabilities that may be exact Fractions.  Both read
+their stages through ``_read_plan`` into one *stage plan* (per-stage reveal
+flags and acceptance probabilities), which the batch kernel here and the
+oracle's N! walk and stage recursion play.
 
 Monte Carlo aggregation is batched: trial batches draw from independent
 counter-based substreams keyed by (seed, batch index) and are reduced in a
@@ -40,21 +42,12 @@ from .equilibrium import GameConfig, _as_count, _check_cost, equilibrium_accept_
 __all__ = [
     "StageRule",
     "StrategyProfile",
+    "PolicySpec",
     "AggregateStats",
     "estimate",
 ]
 
 _BATCH = 32768  # fixed batch width; part of the reproducibility contract
-
-
-def _reveals(learning: bool, accept_prob, cost, force_decline: bool = False) -> bool:
-    """Whether a current best at this stage completes the interview.
-
-    The one liveness rule of the simulator and the oracle: a learning stage
-    reveals unless its applicant is forced to decline or the record
-    acceptance falls short of the cost; a blind stage never reveals.
-    """
-    return learning and not force_decline and accept_prob >= cost
 
 
 @dataclass(frozen=True)
@@ -95,10 +88,6 @@ class StrategyProfile:
             raise ValueError("stages must be StageRule instances")
         object.__setattr__(self, "stages", stages)
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
         """The solved full-learning profile: accept a current best with
@@ -123,6 +112,70 @@ class StrategyProfile:
             raise ValueError("need one acceptance mass per applicant")
         probs = _masses_to_stage_probs([float(p) for p in acceptance_masses])
         return cls(cost=config.cost, stages=tuple(StageRule(False, q) for q in probs))
+
+    def plan(self, config: GameConfig) -> tuple[list[bool], list[float]]:
+        """The profile's stage plan on the instance (see ``_read_plan``)."""
+        rules = [(r.learning, r.accept_prob, r.force_decline) for r in self.stages]
+        return _read_plan(config, self.cost, rules)
+
+
+@dataclass(frozen=True)
+class PolicySpec:
+    """Per-stage acceptance plan evaluated by the oracle.
+
+    A learning stage accepts a strictly new positive maximum with the stated
+    probability (zero means outright rejection, which also removes any reason
+    to complete the interview); a non-learning stage accepts blindly with the
+    stated probability and reveals nothing.  Learning stages must offer
+    either zero or at least the interview cost, otherwise no applicant would
+    complete.
+    """
+
+    accept_probs: tuple
+    learning: tuple
+
+    def __post_init__(self) -> None:
+        probs = tuple(self.accept_probs)
+        flags = tuple(bool(f) for f in self.learning)
+        if len(probs) != len(flags):
+            raise ValueError("accept_probs and learning must have equal length")
+        for p in probs:
+            if not 0 <= p <= 1:
+                raise ValueError(f"acceptance probability {p!r} outside [0, 1]")
+        object.__setattr__(self, "accept_probs", probs)
+        object.__setattr__(self, "learning", flags)
+
+    @classmethod
+    def equilibrium(cls, config: GameConfig) -> "PolicySpec":
+        probs = tuple(equilibrium_accept_probs(config))
+        return cls(accept_probs=probs, learning=(True,) * config.n_applicants)
+
+    @classmethod
+    def from_acceptance_masses(cls, masses: Sequence[float | Fraction]) -> "PolicySpec":
+        """Blind policy from unconditional acceptance masses.
+
+        ``masses`` gives the total probability of accepting each applicant
+        (non-negative, summing to at most 1); any mass vector summing to 1
+        hires the best with probability exactly 1/N.  The masses enter
+        exactly, so the conditional per-stage probabilities are exact
+        Fractions.
+        """
+        probs = _masses_to_stage_probs([Fraction(p) for p in masses])
+        return cls(accept_probs=tuple(probs), learning=(False,) * len(probs))
+
+    def plan(self, config: GameConfig) -> tuple[list[bool], list[float | Fraction]]:
+        """The policy's stage plan at the instance's cost (see
+        ``_read_plan``); a learning stage that offers less than the cost
+        must offer zero."""
+        rules = [(learn, q, False) for learn, q in zip(self.learning, self.accept_probs)]
+        reveals, probs = _read_plan(config, config.cost, rules)
+        for n, ((learn, q, _), live) in enumerate(zip(rules, reveals), start=1):
+            if learn and q != 0 and not live:
+                raise ValueError(
+                    f"stage {n}: record acceptance {q!r} is below the cost "
+                    f"{config.cost} but not outright rejection"
+                )
+        return reveals, probs
 
 
 def _masses_to_stage_probs(
@@ -151,33 +204,29 @@ def _masses_to_stage_probs(
     return probs
 
 
-def _stage_plan(
-    config: GameConfig, profile: StrategyProfile
-) -> tuple[list[bool], list[float]]:
-    """Check the profile against the instance and read it into per-stage
-    reveal flags and acceptance probabilities: the one reading of a profile
-    that Monte Carlo and the prefix audit share.
+def _read_plan(
+    config: GameConfig, cost: float, rules: Sequence[tuple[bool, float | Fraction, bool]]
+) -> tuple[list[bool], list[float | Fraction]]:
+    """Check per-stage (learning, acceptance probability, forced decline)
+    rules played at ``cost`` against the instance and read them into a
+    stage plan: per-stage reveal flags and acceptance probabilities, the one
+    reading that the batch kernel, the oracle's N! walk and its stage
+    recursion play.
 
-    At a revealing stage only a new best completes, and only a completed
-    interview may be accepted.  A learning stage that nobody completes
-    accepts nothing, so it plays as a blind stage with acceptance
-    probability zero.
+    A learning stage reveals a current best unless its applicant is forced
+    to decline or the record acceptance falls short of the cost; a blind
+    stage never reveals.  At a revealing stage only a new best completes,
+    and only a completed interview may be accepted, so a learning stage
+    that nobody completes plays as a blind stage with probability zero.
     """
-    if profile.n_stages != config.n_applicants:
+    if len(rules) != config.n_applicants:
         raise ValueError(
-            f"profile has {profile.n_stages} stages, instance has "
-            f"{config.n_applicants} applicants"
+            f"plan has {len(rules)} stages, instance has {config.n_applicants} applicants"
         )
-    if profile.cost != config.cost:
-        raise ValueError(
-            f"profile cost {profile.cost} does not match instance cost {config.cost}"
-        )
-    reveals = []
-    probs = []
-    for r in profile.stages:
-        live = _reveals(r.learning, r.accept_prob, profile.cost, r.force_decline)
-        reveals.append(live)
-        probs.append(r.accept_prob if live or not r.learning else 0.0)
+    if cost != config.cost:
+        raise ValueError(f"profile cost {cost} does not match instance cost {config.cost}")
+    reveals = [learn and not decline and q >= cost for learn, q, decline in rules]
+    probs = [q if live or not learn else 0.0 for (learn, q, _), live in zip(rules, reveals)]
     return reveals, probs
 
 
@@ -280,7 +329,7 @@ def estimate(
     how many workers run the batches.  ``workers`` is an upper bound: at most
     one thread per batch and per CPU is started.
     """
-    reveals, probs = _stage_plan(config, profile)
+    reveals, probs = profile.plan(config)
     trials = _as_count(trials, 1, "trials")
     seed = _as_count(seed, 0, "seed")
     if seed >= 2**64:

@@ -1,7 +1,9 @@
 """The public API is pinned: adding or removing a public name is a
 deliberate change that edits this list."""
 
+import ast
 import types
+from pathlib import Path
 
 import costly_secretary
 from costly_secretary import asymptotics, equilibrium, oracle, simulator
@@ -29,7 +31,6 @@ PUBLIC = [
     "expected_stopping_time",
     "full_learning_audit",
     "full_learning_counterexample",
-    "gamma",
     "gauss_product_check",
     "limit_constant",
     "optimality_scan",
@@ -61,3 +62,14 @@ def test_nothing_public_outside_all():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert exported == set(PUBLIC) - {"__version__"}
+
+
+def test_no_module_imports_private_names_of_simulator_or_oracle():
+    # the plan types, their reader and the evaluators meet through public
+    # names only
+    for path in sorted(Path(costly_secretary.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.rsplit(".", 1)[-1] in ("simulator", "oracle"):
+                    private = [a.name for a in node.names if a.name.startswith("_")]
+                    assert not private, (path.name, node.module, private)

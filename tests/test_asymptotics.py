@@ -11,7 +11,6 @@ from costly_secretary import (
     compute_threshold,
     compute_threshold_sequence,
     convergence_report,
-    gamma,
     gauss_product_check,
     limit_constant,
     record_survival_product,
@@ -30,42 +29,19 @@ def truncated_gauss_product(z, n):
     return n**z / z * float(np.prod(ks / (z + ks)))
 
 
-class TestGamma:
-    def test_integer_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert gamma(2.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_half(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_against_stdlib_on_used_range(self):
-        for x in np.linspace(0.05, 3.0, 237):
-            assert gamma(float(x)) == pytest.approx(math.gamma(float(x)), rel=1e-12)
-
-    def test_against_truncated_gauss_product(self):
-        for z in (0.5, 0.9, 1.5, 2.5):
-            approx = truncated_gauss_product(z, 10**6)
-            assert gamma(z) == pytest.approx(approx, rel=1e-4)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -0.5, math.nan):
-            with pytest.raises(ValueError):
-                gamma(bad)
-
-
 class TestLimitConstant:
     def test_zero_cost_is_inverse_e(self):
         assert limit_constant(0.0) == pytest.approx(1.0 / math.e, rel=1e-12)
-        # the denominator collapses: Gamma(2) = 1
-        assert gamma(2.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_tenth_cost(self):
-        expected = math.exp(-0.9) / gamma(1.9)
-        assert limit_constant(0.1) == expected
-        assert limit_constant(0.1) == pytest.approx(
-            math.exp(-0.9) / math.gamma(1.9), rel=1e-12
-        )
+        assert limit_constant(0.1) == math.exp(-0.9) / math.gamma(1.9)
         assert limit_constant(0.1) == pytest.approx(0.4227, abs=5e-4)
+
+    def test_against_truncated_gauss_product(self):
+        # Gamma(2 - cost) by an independent slow route
+        for cost in (0.0, 0.1, 0.5, 0.9):
+            approx = math.exp(cost - 1.0) / truncated_gauss_product(2.0 - cost, 10**6)
+            assert limit_constant(cost) == pytest.approx(approx, rel=1e-4)
 
     def test_rejects_out_of_range(self):
         for bad in (-0.1, 1.0, 1.5):
@@ -104,13 +80,13 @@ class TestGaussProductCheck:
             assert gauss_product_check(0.0, n) == 1.0
 
     def test_half_cost_large_n(self):
-        target = 1.0 / gamma(0.5)  # = 1/sqrt(pi) after the sqrt(pi) cross-check
+        target = 1.0 / math.gamma(0.5)  # = 1/sqrt(pi)
         assert target == pytest.approx(0.5641895835, abs=1e-9)
         assert gauss_product_check(0.5, 10**6) == pytest.approx(target, abs=1e-3)
 
     def test_deviation_shrinks(self):
         for cost in (0.1, 0.5, 0.9):
-            target = 1.0 / gamma(1.0 - cost)
+            target = 1.0 / math.gamma(1.0 - cost)
             devs = [
                 abs(gauss_product_check(cost, n) - target)
                 for n in (10**3, 10**4, 10**5, 10**6)
@@ -186,10 +162,3 @@ def test_survival_product_scaling_bounded(cost, n):
     value = gauss_product_check(cost, n)
     assert 0.0 < value <= max(1.0, n**cost * 1.0)
     assert record_survival_product(n, cost) <= 1.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(x=st.floats(min_value=0.05, max_value=2.0, allow_nan=False))
-def test_gamma_recurrence(x):
-    # Gamma(x + 1) = x * Gamma(x)
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)

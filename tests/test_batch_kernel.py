@@ -174,7 +174,7 @@ KERNEL_KEYS = [0, 5, ((2**63 + 9) << 64) | 3, ((2**64 - 1) << 64) | 2]
 def test_kernel_matches_plain_kernel(plan):
     kind, n_apps, cost = plan
     config, profile = PROFILES[kind](n_apps, cost)
-    reveals, probs = simulator._stage_plan(config, profile)
+    reveals, probs = profile.plan(config)
     for size in KERNEL_SIZES:
         for key in KERNEL_KEYS:
             want = plain_run_batch(reveals, probs, size, key)

@@ -24,7 +24,6 @@ from costly_secretary import (
 )
 from costly_secretary import oracle
 from costly_secretary.oracle import _exact_walk
-from costly_secretary.simulator import _stage_plan
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -246,10 +245,8 @@ class TestPrefixWalk:
             n_apps = rand.randint(2, 6)
             cfg = GameConfig(n_apps, rand.choice([0.0, 0.1, 0.5]))
             policy = random_policy(rand, n_apps, cfg.cost)
-            reveals = policy.validate_for(cfg)
-            success, tau_mass, count, _ = flat_walk(
-                reveals, [Fraction(q) for q in policy.accept_probs]
-            )
+            reveals, probs = policy.plan(cfg)
+            success, tau_mass, count, _ = flat_walk(reveals, [Fraction(q) for q in probs])
             assert exact_success_probability(cfg, policy) == success / count
             assert exact_expected_tau(cfg, policy) == tau_mass / count
 
@@ -284,7 +281,7 @@ class TestPrefixWalk:
                 for _ in range(n_apps)
             ]
             profile = StrategyProfile(cost, tuple(rules))
-            float_plan = _stage_plan(GameConfig(n_apps, cost), profile)
+            float_plan = profile.plan(GameConfig(n_apps, cost))
             exact_plan = (float_plan[0], [Fraction(q) for q in float_plan[1]])
             stage = rand.randint(1, n_apps)
             state = 1 if stage == 1 else rand.randint(0, 1)
@@ -422,7 +419,7 @@ class TestFullLearningAudit:
     def reference_counterexample(profile):
         """The audit as a per-stage replay of the game rules, kept as an
         independent reference for the walk over the orders."""
-        n_apps = profile.n_stages
+        n_apps = len(profile.stages)
         for order in itertools.permutations(range(1, n_apps + 1)):
             max_y = 0
             max_theta = 0

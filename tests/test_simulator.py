@@ -1,8 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costly_secretary import (
     GameConfig,
@@ -31,8 +32,7 @@ def play_one(config, profile, key):
     for nobody) and whether that hired the overall best.
     """
     draws = rng_for(key).random(2 * config.n_applicants)
-    plan = simulator._stage_plan(config, profile)
-    success, _, tau, _ = simulator._run_batch(*plan, 1, key)
+    success, _, tau, _ = simulator._run_batch(*profile.plan(config), 1, key)
     return draws[0::2], draws[1::2], tau, bool(success)
 
 
@@ -57,7 +57,7 @@ class TestProfiles:
         cfg = GameConfig(4, 0.3)
         profile = StrategyProfile.equilibrium(cfg)
         assert [r.accept_prob for r in profile.stages] == [0.3, 1.0, 1.0, 1.0]
-        assert simulator._stage_plan(cfg, profile) == ([True] * 4, [0.3, 1.0, 1.0, 1.0])
+        assert profile.plan(cfg) == ([True] * 4, [0.3, 1.0, 1.0, 1.0])
         # records are accepted per the rule, anything else never: stage 1
         # accepts when its uniform falls below 0.3, and otherwise the first
         # record after stage 1 is accepted
@@ -94,25 +94,16 @@ class TestProfiles:
         for other in (GameConfig(4, 0.2), GameConfig(3, 0.3)):
             profile = StrategyProfile.equilibrium(other)
             with pytest.raises(ValueError):
-                simulator._stage_plan(cfg, profile)
+                profile.plan(cfg)
             with pytest.raises(ValueError):
                 estimate(cfg, profile, 10, seed=0)
+        # both plan types share the stage-count check and its message
+        for plan_type in (StrategyProfile, PolicySpec):
+            with pytest.raises(ValueError, match="plan has 4 stages, instance has 3 applicants"):
+                plan_type.equilibrium(GameConfig(4, 0.2)).plan(cfg)
 
 
 class TestSampleAbilities:
-    def test_record_frequencies_match_inverse_rank(self):
-        # the per-stage record probability is 1/n; check the same i.i.d.
-        # uniform scheme the batch kernel uses, at a million draws
-        rng = rng_for(11)
-        draws = rng.random((10**6, 10))
-        running = np.maximum.accumulate(draws, axis=1)
-        records = draws >= running
-        freq = records.mean(axis=0)
-        for n in range(1, 11):
-            p = 1.0 / n
-            se = math.sqrt(p * (1 - p) / 10**6)
-            assert abs(freq[n - 1] - p) <= 4 * se + 1e-12
-
     def test_record_frequencies_played_by_kernel(self):
         # stage n holds a record, and so is accepted, 1/n of the time
         cfg = GameConfig(5, 0.0)
@@ -131,20 +122,17 @@ class TestSampleAbilities:
         assert abs(stats.success_rate - 0.5) <= 4 * se
 
     def test_record_indicators_independent(self):
-        # exact at N=3: records at stages 2 and 3 jointly in 1 of 6 orders
-        joint = 0
-        for order in itertools.permutations((1, 2, 3)):
-            rec2 = order[1] > order[0]
-            rec3 = order[2] > max(order[:2])
-            joint += rec2 and rec3
-        assert joint / 6 == pytest.approx(1 / 6)
-        rng = rng_for(19)
-        draws = rng.random((10**5, 3))
-        rec2 = draws[:, 1] > draws[:, 0]
-        rec3 = draws[:, 2] > draws[:, :2].max(axis=1)
-        freq = np.mean(rec2 & rec3)
-        se = math.sqrt((1 / 6) * (5 / 6) / 10**5)
-        assert abs(freq - 1 / 6) <= 4 * se
+        # N=3, no cost: stage 1 rejects, stage 2 accepts a record half the
+        # time, stage 3 accepts a record outright.  Acceptance then has
+        # probability 1/2 * 1/2 + 1/3 - P(records at 2 and 3) / 2, which is
+        # 1/2 with mean stopping index 5/4 when the records at stages 2 and 3
+        # are independent (probability 1/6 jointly)
+        cfg = GameConfig(3, 0.0)
+        rules = (StageRule(True, 0.0), StageRule(True, 0.5), StageRule(True, 1.0))
+        trials = 40000
+        stats = estimate(cfg, StrategyProfile(0.0, rules), trials, seed=19)
+        assert abs(stats.acceptance_rate - 0.5) <= 4 * math.sqrt(0.25 / trials)
+        assert abs(stats.mean_tau_unconditional - 1.25) <= 4 * stats.tau_se
 
 
 class TestApplicantAction:
@@ -166,7 +154,7 @@ class TestApplicantAction:
         for cost in (0.0, 0.5, 0.9):
             cfg = GameConfig(5, cost)
             profile = StrategyProfile.equilibrium(cfg)
-            reveals, probs = simulator._stage_plan(cfg, profile)
+            reveals, probs = profile.plan(cfg)
             assert reveals[0]
             # so only the administrator's coin decides stage 1
             for key in range(200):
@@ -176,7 +164,7 @@ class TestApplicantAction:
     def test_no_learning_always_declines(self):
         cfg = GameConfig(5, 0.3)
         profile = StrategyProfile.no_learning(cfg, [0.6, 0.1, 0.1, 0.1, 0.1])
-        reveals, probs = simulator._stage_plan(cfg, profile)
+        reveals, probs = profile.plan(cfg)
         assert reveals == [False] * 5
         # nobody completes, so the coins alone pick the stage
         for key in range(500):
@@ -189,7 +177,7 @@ class TestApplicantAction:
         rules = tuple(StageRule(True, 0.1) for _ in range(5))
         profile = StrategyProfile(cost=0.3, stages=rules)
         # nobody completes, and a stage nobody completes accepts nothing
-        assert simulator._stage_plan(cfg, profile) == ([False] * 5, [0.0] * 5)
+        assert profile.plan(cfg) == ([False] * 5, [0.0] * 5)
         assert estimate(cfg, profile, 500, seed=59).acceptance_rate == 0.0
 
 
@@ -308,28 +296,28 @@ class TestIncentiveAudit:
                 cfg = GameConfig(n_apps, cost)
                 # every record acceptance covers the cost, so every stage reveals
                 profile = StrategyProfile.equilibrium(cfg)
-                assert simulator._stage_plan(cfg, profile)[0] == [True] * n_apps
-                assert PolicySpec.equilibrium(cfg).validate_for(cfg) == [True] * n_apps
+                assert profile.plan(cfg)[0] == [True] * n_apps
+                assert PolicySpec.equilibrium(cfg).plan(cfg)[0] == [True] * n_apps
 
     def test_underpaying_record_stage_flagged(self):
         cfg = GameConfig(4, 0.4)
         probs = list(equilibrium_accept_probs(cfg))
         probs[1] = 0.2  # cost/2 at a record stage
         with pytest.raises(ValueError, match="stage 2: record acceptance 0.2 is below"):
-            PolicySpec(tuple(probs), (True,) * 4).validate_for(cfg)
+            PolicySpec(tuple(probs), (True,) * 4).plan(cfg)
         rules = list(StrategyProfile.equilibrium(cfg).stages)
         rules[1] = StageRule(True, 0.2)
-        reveals, plan_probs = simulator._stage_plan(cfg, StrategyProfile(0.4, tuple(rules)))
+        reveals, plan_probs = StrategyProfile(0.4, tuple(rules)).plan(cfg)
         assert reveals == [True, False, True, True]
         assert plan_probs[1] == 0.0
 
     def test_no_learning_clean(self):
         cfg = GameConfig(5, 0.6)
         profile = StrategyProfile.no_learning(cfg, [0.2] * 5)
-        reveals, probs = simulator._stage_plan(cfg, profile)
+        reveals, probs = profile.plan(cfg)
         assert reveals == [False] * 5
         assert probs == [r.accept_prob for r in profile.stages]
-        assert PolicySpec.from_acceptance_masses([0.2] * 5).validate_for(cfg) == [False] * 5
+        assert PolicySpec.from_acceptance_masses([0.2] * 5).plan(cfg)[0] == [False] * 5
 
     def test_forced_decline_mismatch_flagged(self):
         cfg = GameConfig(3, 0.2)
@@ -338,5 +326,24 @@ class TestIncentiveAudit:
         profile = StrategyProfile(0.2, tuple(rules))
         # stage 2 reveals nothing although completing pays, so a new best
         # there breaks the full-learning prefix
-        assert simulator._stage_plan(cfg, profile)[0] == [True, False, True]
+        assert profile.plan(cfg)[0] == [True, False, True]
         assert full_learning_counterexample(cfg, profile) == ((1, 2, 3), 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_both_plan_types_read_one_plan(data):
+    # on stages both types can express, a profile and a policy give the same
+    # stage plan: learning stages offer 0 or at least the cost, blind stages
+    # any probability, and nobody is forced to decline
+    n_apps = data.draw(st.integers(min_value=2, max_value=8))
+    cost = data.draw(st.floats(min_value=0.0, max_value=0.99))
+    offer = st.just(0.0) | st.just(cost) | st.floats(min_value=cost, max_value=1.0)
+    stage = st.tuples(st.just(True), offer) | st.tuples(
+        st.just(False), st.floats(min_value=0.0, max_value=1.0)
+    )
+    stages = data.draw(st.lists(stage, min_size=n_apps, max_size=n_apps))
+    cfg = GameConfig(n_apps, cost)
+    profile = StrategyProfile(cost, tuple(StageRule(learn, q) for learn, q in stages))
+    policy = PolicySpec(tuple(q for _, q in stages), tuple(learn for learn, _ in stages))
+    assert profile.plan(cfg) == policy.plan(cfg)
