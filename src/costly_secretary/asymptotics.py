@@ -113,7 +113,7 @@ def convergence_report(
     samples = []
     thresholds = []
     for n_apps in sizes:
-        tables = solve_values(GameConfig(n_apps, cost))
+        tables = solve_values(GameConfig(n_apps, cost), tables=False)
         samples.append((n_apps, n_apps**cost * tables.success_probability))
         lower, upper = threshold_bounds(n_apps)
         thresholds.append((n_apps, tables.threshold, lower, upper))

@@ -86,7 +86,7 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 
 def _run_solve(args: argparse.Namespace) -> int:
     config = GameConfig(args.n, args.cost)
-    tables = solve_values(config)
+    tables = solve_values(config, tables=args.tables)
     if args.tables:
         v0, v1 = tables.v0[1:].tolist(), tables.v1[1:].tolist()
         rows = (
@@ -118,7 +118,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         asymptote_scale = limit_constant(cost)
         for n_apps in n_range:
             config = GameConfig(n_apps, cost)
-            tables = solve_values(config)
+            tables = solve_values(config, tables=False)
             pi = tables.success_probability
             rows.append(
                 {
@@ -205,8 +205,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
             scan = optimality_scan(config, args.grid_step)
         except VerificationError as exc:
             scan = exc
-    tables = solve_values(config)
-    dp = tables.success_probability
+    dp = solve_values(config, tables=False).success_probability
     closed = closed_form_success(config)
     tau_closed = expected_stopping_time(config)
     policy = PolicySpec.equilibrium(config)
@@ -228,7 +227,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     rows = [
         check("closed_form_vs_dp", closed, dp),
         check("enumeration_vs_dp", enum_pi, dp),
-        check("expected_tau_vs_n_pi", tau_closed, config.n_applicants * closed),
+        check("expected_tau_vs_n_pi", tau_closed, config.n_applicants * dp),
         check("enumeration_tau_vs_n_pi", enum_tau, config.n_applicants * enum_pi),
         check("full_learning_audit", 1.0 if audit_ok else 0.0, 1.0, tol=0.0),
     ]

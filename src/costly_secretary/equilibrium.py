@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,20 +178,36 @@ class ValueTables:
     """Per-stage normalized continuation values for one instance.
 
     ``v0[n]`` / ``v1[n]`` is the value per remaining candidate when applicant
-    n is dominated / the current best (index 0 is unused and set to NaN).
+    n is dominated / the current best (index 0 is unused and set to NaN);
+    both are None when the instance was solved with ``tables=False``.
     ``threshold`` is the stage from which a current best is accepted with
     probability one, and ``success_probability`` is v1[1], the probability of
     hiring the overall best under the solved policy.
     """
 
     config: GameConfig
-    v0: np.ndarray
-    v1: np.ndarray
+    v0: np.ndarray | None
+    v1: np.ndarray | None
     threshold: int
     success_probability: float
 
 
-def solve_values(config: GameConfig) -> ValueTables:
+def _check_tables_fit(n_apps: int) -> None:
+    """Raise MemoryError before allocating two N+1 float tables that are
+    larger than the host's physical memory (skipped where it is unknown)."""
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
+        return
+    need = 16 * (n_apps + 1)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 0 < have < need:
+        raise MemoryError(
+            f"the value tables for n_applicants={n_apps} need {need} bytes, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
+def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
     """Solve the stage values by backward induction.
 
     Boundary: v0[N] = 0 and v1[N] = 1/N.  Recursion, for n = N-1 down to 1:
@@ -208,20 +225,29 @@ def solve_values(config: GameConfig) -> ValueTables:
     compute_threshold.  The remaining ~N/e head stages run one at a time in
     Python.  Every stage gets the same floating-point operations either way,
     so the tables are the same bits as a plain stage loop's.
+
+    With ``tables=False`` nothing of size N is allocated: the same recursion
+    carries only the current v0 and v1 and one block, and the result has
+    ``v0 = v1 = None`` and the same ``threshold`` and ``success_probability``
+    bits.  With ``tables=True``, two tables larger than the host's physical
+    memory raise MemoryError before any allocation.
     """
     n_apps = config.n_applicants
     cost = config.cost
     floor = 1.0 / n_apps
     pay = cost / n_apps
     keep = 1.0 - cost
-    v0 = np.empty(n_apps + 1, dtype=np.float64)
-    v1 = np.empty(n_apps + 1, dtype=np.float64)
-    v0[0] = v1[0] = math.nan
-    v0[n_apps] = 0.0
-    v1[n_apps] = floor
+    v0 = v1 = None
+    if tables:
+        _check_tables_fit(n_apps)
+        v0 = np.empty(n_apps + 1, dtype=np.float64)
+        v1 = np.empty(n_apps + 1, dtype=np.float64)
+        v0[0] = v1[0] = math.nan
+        v0[n_apps] = 0.0
+        v1[n_apps] = floor
     prev0 = 0.0
     prev1 = floor
-    top = n_apps - 1  # the highest stage not yet written
+    top = n_apps - 1  # the highest stage not yet solved
     while top >= 1:
         size = min(top, _BLOCK)
         # x[0] is the carried v0[top + 1]; x[k] becomes v0[top + 1 - k]
@@ -231,29 +257,36 @@ def solve_values(config: GameConfig) -> ValueTables:
         np.add.accumulate(x, out=x)
         stops = pay + keep * x[1:] >= floor
         done = int(stops.argmax()) if stops.any() else size
-        v0[top - done + 1 : top + 1] = x[done:0:-1]
-        v1[top - done + 1 : top + 1] = floor
+        if tables:
+            v0[top - done + 1 : top + 1] = x[done:0:-1]
+            v1[top - done + 1 : top + 1] = floor
         prev0 = float(x[done])
         top -= done
         if done < size:
             break
-    out0 = memoryview(v0)
-    out1 = memoryview(v1)
-    for n in range(top, 0, -1):
-        x = prev1 / n + prev0
-        y = pay + keep * x
-        if y < floor:
-            y = floor
-        out0[n] = x
-        out1[n] = y
-        prev0 = x
-        prev1 = y
+    # The head stages, one at a time: the same operations whether stored or not.
+    if tables:
+        out0 = memoryview(v0)
+        out1 = memoryview(v1)
+        for n in range(top, 0, -1):
+            prev0 = prev1 / n + prev0
+            prev1 = pay + keep * prev0
+            if prev1 < floor:
+                prev1 = floor
+            out0[n] = prev0
+            out1[n] = prev1
+    else:
+        for n in range(top, 0, -1):
+            prev0 = prev1 / n + prev0
+            prev1 = pay + keep * prev0
+            if prev1 < floor:
+                prev1 = floor
     return ValueTables(
         config=config,
         v0=v0,
         v1=v1,
         threshold=compute_threshold(n_apps),
-        success_probability=float(v1[1]),
+        success_probability=prev1,
     )
 
 

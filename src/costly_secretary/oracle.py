@@ -288,7 +288,7 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
         total = _stage_recursion(((option_reveals[d], option_probs[d]) for d in digits), n_apps)
         best, n_max = _fold_maximum(total, lo, best, n_max, kept)
 
-    dp_success = solve_values(config).success_probability
+    dp_success = solve_values(config, tables=False).success_probability
     eq_policy = PolicySpec.equilibrium(config)
     eq_success = policy_success_probability(config, eq_policy)
     attains = eq_success >= best - 1e-12

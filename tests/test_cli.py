@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
-from costly_secretary import cli
+from costly_secretary import cli, equilibrium
 from costly_secretary.cli import main
 
 
@@ -234,6 +235,15 @@ class TestOracleCommand:
         assert out == ""
         assert err == message
 
+    def test_expected_tau_row_is_checked_against_the_dp(self, capsys, monkeypatch):
+        # against N times the closed form, the same mass over N, it cannot fail
+        mass = equilibrium._acceptance_mass
+        monkeypatch.setattr(equilibrium, "_acceptance_mass", lambda c: 1.05 * mass(c))
+        code, out, _ = capture(capsys, ["oracle", "--n", "6", "--cost", "0.2"])
+        status = {row.split(",")[0]: row.split(",")[-1] for row in out.splitlines()[1:]}
+        assert code == 3
+        assert status["expected_tau_vs_n_pi"] == "fail"
+
 
 class TestAsymptoticsCommand:
     def test_report(self, capsys):
@@ -375,7 +385,40 @@ class TestStreamedTables:
         assert peak <= limit_mb * 1e6
 
 
+class TestTableFreeSolves:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "1000000", "--cost", "0.1"],
+            ["sweep", "--n-range", "10:1000000:8", "--cost-list", "0.1", "--log-spaced"],
+            ["asymptotics", "--cost", "0.1", "--n-range", "100:1000000:5", "--log-spaced"],
+        ],
+        ids=["solve", "sweep", "asymptotics"],
+    )
+    def test_peak_memory_without_tables(self, capsys, argv):
+        # Building the two tables (16 MB at N = 1e6) peaked at 17-20 MB.
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= 2e6
+
+
 class TestErrors:
+    def test_tables_larger_than_memory_exit_2(self, capsys, monkeypatch):
+        real = os.sysconf
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: 100 if name == "SC_PHYS_PAGES" else real(name)
+        )
+        argv = ["solve", "--n", "100000", "--cost", "0.1"]
+        code, out, err = capture(capsys, argv + ["--tables"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: out of memory (the value tables for n_applicants=100000")
+        assert capture(capsys, argv)[0] == 0
+
     @pytest.mark.parametrize(
         "target, argv",
         [

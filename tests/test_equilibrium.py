@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
@@ -186,15 +187,22 @@ def size_with_switch_gap(cost, gap):
     return n_apps
 
 
+def block_edge_sizes(cost):
+    """Sizes that stress the blocked tail of solve_values.
+
+    The tail runs in blocks of _BLOCK stages from N-1 down: sizes at the
+    block edges, and sizes whose switch stage is the last stage of the first
+    block (N - BLOCK) or the first of the second (N - BLOCK - 1).
+    """
+    edges = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+    switch_at_edge = [size_with_switch_gap(cost, g) for g in (_BLOCK, _BLOCK + 1)]
+    return (2, 3, 10, 1000, 100000, *edges, *switch_at_edge)
+
+
 class TestSolveValues:
     @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
     def test_bit_identical_to_list_recursion(self, cost):
-        # the tail runs in blocks of _BLOCK stages from N-1 down: sizes at
-        # the block edges, and sizes whose switch stage is the last stage of
-        # the first block (N - BLOCK) or the first of the second (N - BLOCK - 1)
-        edges = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
-        switch_at_edge = [size_with_switch_gap(cost, g) for g in (_BLOCK, _BLOCK + 1)]
-        for n_apps in (2, 3, 10, 1000, 100000, *edges, *switch_at_edge):
+        for n_apps in block_edge_sizes(cost):
             t = solve_values(GameConfig(n_apps, cost))
             ref0, ref1 = list_recursion(n_apps, cost)
             assert np.array_equal(t.v0, ref0, equal_nan=True)
@@ -211,6 +219,40 @@ class TestSolveValues:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * tables_bytes
+
+    @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
+    def test_table_free_pass_is_the_same_bits(self, cost):
+        for n_apps in (*block_edge_sizes(cost), 10**6):
+            config = GameConfig(n_apps, cost)
+            full = solve_values(config)
+            bare = solve_values(config, tables=False)
+            assert bare.v0 is None and bare.v1 is None
+            assert bare.success_probability == full.success_probability == full.v1[1]
+            assert bare.threshold == full.threshold
+
+    def test_table_free_pass_allocates_no_tables(self):
+        # the two tables alone would take 16 MB
+        tracemalloc.start()
+        try:
+            solve_values(GameConfig(10**6, 0.3), tables=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
+    def test_tables_larger_than_memory_are_refused(self, monkeypatch):
+        real = os.sysconf
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: 100 if name == "SC_PHYS_PAGES" else real(name)
+        )
+        config = GameConfig(100000, 0.1)
+        with pytest.raises(MemoryError, match="n_applicants=100000 need 1600016 bytes"):
+            solve_values(config)
+        bare = solve_values(config, tables=False)
+        assert bare.v1 is None
+        # where the host memory is unknown, the check is skipped
+        monkeypatch.setattr(os, "sysconf_names", {})
+        assert solve_values(config).v1[1] == bare.success_probability
 
     def test_boundary_values(self):
         for n, c in [(2, 0.0), (5, 0.3), (40, 0.9)]:
