@@ -64,10 +64,23 @@ def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
         yield ",".join(_fmt(row[k]) for k in header) + "\n"
 
 
+def _json_pieces(rows: Iterable[dict], meta: dict) -> Iterator[str]:
+    """The bytes of ``{"meta": meta, "rows": [...]}`` encoded with indent=2,
+    made one flat row at a time: the C encoder writes each row's item
+    separators at depth-2 indentation, and the row's braces are re-laid."""
+    head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
+    row_encoder = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+    yield head[: -len("\n}")] + ',\n  "rows": ['
+    sep = "\n"
+    for row in rows:
+        yield sep + "    {\n      " + row_encoder.encode(row)[1:-1] + "\n    }"
+        sep = ",\n"
+    yield ("\n  ]" if sep == ",\n" else "]") + "\n}\n"
+
+
 def _emit(rows: Iterable[dict], meta: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        encoder = json.JSONEncoder(indent=2, allow_nan=False)
-        pieces = itertools.chain(encoder.iterencode({"meta": meta, "rows": list(rows)}), "\n")
+        pieces = _json_pieces(rows, meta)
     else:
         pieces = _csv_lines(rows)
     if args.out:

@@ -24,6 +24,10 @@ abilities are its outputs [2j·size, (2j+1)·size) and the acceptance uniforms
 the next ``size`` outputs, one 64-bit output per double.  A stage whose
 acceptance probability is 0 or 1 reads no uniform, so the kernel jumps over
 that block without drawing it; the results are the same bits.
+
+The kernel never makes the doubles: it reads an output ``raw`` as the
+ability ``raw >> 11``, the integer the double (raw >> 11)·2^-53 scales, and
+tests a uniform against q (0 < q < 1) as ``raw < ceil(q·2^53) << 11``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
 ]
 
 _BATCH = 32768  # fixed batch width; part of the reproducibility contract
+_SHIFT = np.uint64(11)  # a 64-bit output keeps its top 53 bits as a double
 
 
 @dataclass(frozen=True)
@@ -279,40 +284,52 @@ def _run_batch(
     [2j·size, (2j+1)·size) and the acceptance uniforms at the next ``size``
     outputs, one output per double.  A stage with acceptance probability 0
     or 1 reads no uniform, so its block is jumped over instead of drawn.
+
+    The kernel works on the raw 64-bit outputs.  An ability is ``raw >> 11``,
+    the integer that the double ``(raw >> 11) * 2**-53`` scales, so every
+    comparison of abilities answers as it would in doubles.  A uniform u is
+    below q (0 < q < 1) exactly when ``raw < ceil(q * 2**53) << 11``.
+
+    A trial accepted at stage τ (from 1) is alive at the start of stages
+    0..τ-1; a trial never accepted is alive at the start of all N stages.  So
+    with live_j trials alive at the start of stage j and ``live`` never accepted,
+    Σ τ = Σ_j live_j - N·live and Σ τ² = Σ_j (2j+1)·live_j - N²·live.
     """
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=key)
     alive = np.ones(size, dtype=bool)
-    revealed_max = np.zeros(size)
-    true_max = np.zeros(size)
-    tau = np.zeros(size, dtype=np.int64)
-    chosen = np.full(size, -1.0)
-    theta = np.empty(size)
-    u = np.empty(size)
+    revealed_max = np.zeros(size, dtype=np.uint64)
+    true_max = np.zeros(size, dtype=np.uint64)
+    chosen = np.zeros(size, dtype=np.uint64)
+    live = size
+    live_sum = live_sq_sum = 0
     for j in range(len(reveals)):
-        rng.random(out=theta)
+        live_sum += live
+        live_sq_sum += (2 * j + 1) * live
+        theta = bitgen.random_raw(size)
+        np.right_shift(theta, _SHIFT, out=theta)  # in place: a second array costs page faults
         q = probs[j]
         if 0.0 < q < 1.0:
-            rng.random(out=u)
+            u_raw = bitgen.random_raw(size)
         else:
-            _skip(rng.bit_generator, (2 * j + 1) * size, size)
+            _skip(bitgen, (2 * j + 1) * size, size)
         np.maximum(true_max, theta, out=true_max)
         eligible = alive
         if reveals[j]:  # only a new best completes and may be accepted
-            complete = theta > revealed_max
-            eligible = alive & complete
-            np.copyto(revealed_max, theta, where=complete)
+            eligible = alive & (theta > revealed_max)
+            np.maximum(revealed_max, theta, out=revealed_max)
         if q > 0.0:
-            newly = eligible & (u < q) if q < 1.0 else eligible
-            np.copyto(tau, j + 1, where=newly)
-            np.copyto(chosen, theta, where=newly)
-            alive &= ~newly
-    accepted = tau > 0
-    success = accepted & (chosen == true_max)
+            if q < 1.0:
+                eligible = eligible & (u_raw < np.uint64(math.ceil(q * 2**53) << 11))
+            newly = np.flatnonzero(eligible)
+            chosen[newly] = theta[newly]
+            alive[newly] = False
+            live -= len(newly)
+    n = len(reveals)
     return (
-        int(success.sum()),
-        int(accepted.sum()),
-        int(tau.sum()),
-        int((tau * tau).sum()),
+        int(np.count_nonzero(~alive & (chosen == true_max))),
+        size - live,
+        live_sum - n * live,
+        live_sq_sum - n * n * live,
     )
 
 

@@ -1,6 +1,8 @@
 """Same-seed Monte Carlo results are pinned, and the batch kernel is checked
 against a plain reference kernel that draws every stream output."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ KERNEL_PLANS = [
     ("deviation", 30, 0.1),
     ("mixed", 30, 0.2),
 ]
-KERNEL_SIZES = [1, 2, 3, 4, 5, 6, 7, 33, 1001, 4096]
+KERNEL_SIZES = [1, 2, 3, 4, 5, 6, 7, 33, 1001, 4096, 32768]
 KERNEL_KEYS = [0, 5, ((2**63 + 9) << 64) | 3, ((2**64 - 1) << 64) | 2]
 
 
@@ -198,6 +200,112 @@ def test_one_output_per_double():
     raw = np.random.Philox(key=11).random_raw(1001)
     doubles = np.random.Generator(np.random.Philox(key=11)).random(1001)
     assert np.array_equal(doubles, (raw >> np.uint64(11)) * 2.0**-53)
+
+
+def crafted_philox(words):
+    """A stand-in for np.random.Philox that serves ``words`` in order, so
+    the kernel plays chosen 64-bit outputs at their places in the layout."""
+
+    class Philox:
+        def __init__(self, key):
+            self.pos = 0
+
+        def random_raw(self, size):
+            out = words[self.pos : self.pos + size].copy()
+            assert len(out) == size, "read past the crafted words"
+            self.pos += size
+            return out
+
+        def advance(self, blocks):
+            assert self.pos % 4 == 0, "advance would drop buffered outputs"
+            self.pos += 4 * blocks
+
+    return Philox
+
+
+def per_trial_in_doubles(reveals, probs, words, size):
+    """Each trial played alone, in the doubles Generator.random makes of the
+    words at the trial's places in the stream layout."""
+    doubles = ((words >> np.uint64(11)) * 2.0**-53).tolist()
+    n = len(reveals)
+    totals = [0, 0, 0, 0]
+    for i in range(size):
+        best = top = chosen = 0.0
+        tau = 0
+        for j in range(n):
+            theta, u = doubles[2 * j * size + i], doubles[(2 * j + 1) * size + i]
+            top = max(top, theta)
+            complete = theta > best or not reveals[j]
+            if reveals[j]:
+                best = max(best, theta)
+            if not tau and complete and u < probs[j]:
+                tau, chosen = j + 1, theta
+        totals[0] += tau > 0 and chosen == top
+        totals[1] += tau > 0
+        totals[2] += tau
+        totals[3] += tau * tau
+    return tuple(totals)
+
+
+def play_crafted(monkeypatch, reveals, probs, abilities, uniforms):
+    """Run the kernel and the per-trial reference on stage-by-trial arrays
+    of ability and uniform words; returns both results."""
+    abilities = np.asarray(abilities, dtype=np.uint64)
+    uniforms = np.asarray(uniforms, dtype=np.uint64)
+    size = abilities.shape[1]
+    words = np.stack([abilities, uniforms], axis=1).reshape(-1)
+    monkeypatch.setattr(np.random, "Philox", crafted_philox(words))
+    got = simulator._run_batch(reveals, probs, size, key=0)
+    return got, per_trial_in_doubles(reveals, probs, words, size)
+
+
+@pytest.mark.parametrize(
+    "q, k, accepted",
+    [
+        (3 * 2.0**-53, 3, 2),  # u == q rejects
+        (float(np.nextafter(3 * 2.0**-53, 1.0)), 3, 4),  # u == 3 * 2**-53 is below
+        ((2**52 + 5) * 2.0**-53, 2**52 + 5, 2),
+        ((2**52 + 6) * 2.0**-53, 2**52 + 5, 4),  # the next double above k * 2**-53
+        (2.0**-1074, 0, 2),  # only u = 0 is below
+        (1.0 - 2.0**-53, 2**53 - 1, 2),  # u == 1 - 2**-53 rejects
+    ],
+)
+def test_acceptance_uniform_at_the_boundary(monkeypatch, q, k, accepted):
+    # stage-1 uniforms whose top 53 bits are k - 1, k and k + 1, each with
+    # low bits 0 and 2047; stage 2 accepts nobody and stage 3 everybody
+    uniforms_0 = [((k + d) << 11) | low for d in (-1, 0, 1) for low in (0, 2047)
+                  if 0 <= k + d < 2**53]
+    size = len(uniforms_0)
+    rng = np.random.Generator(np.random.Philox(key=1))
+    abilities = rng.integers(0, 2**64, size=(3, size), dtype=np.uint64)
+    uniforms = rng.integers(0, 2**64, size=(3, size), dtype=np.uint64)
+    uniforms[0] = uniforms_0
+    for reveals in ([False] * 3, [True] * 3):
+        got, want = play_crafted(monkeypatch, reveals, [q, 0.0, 1.0], abilities, uniforms)
+        assert got == want
+        if not reveals[0]:
+            assert got[1:3] == (size, accepted + 3 * (size - accepted))
+
+
+# 0 and 2047 are both the double 0.0, which is no record
+TIED_ABILITIES = [
+    0, 2047, (5 << 11) | 5, (5 << 11) | 9, 5 << 11, (5 << 11) | 2047, (4 << 11) | 2047, 6 << 11
+]
+
+
+@pytest.mark.parametrize("first_q", [0.0, 0.5, 1.0])
+def test_abilities_tied_in_their_top_53_bits(monkeypatch, first_q):
+    # every order of three abilities that tie or differ in the 53 bits a
+    # double keeps: a tie is no new record, and a chosen tie is the best
+    triples = np.array(
+        [(a, b, c) for a in TIED_ABILITIES for b in TIED_ABILITIES for c in TIED_ABILITIES],
+        dtype=np.uint64,
+    ).T
+    size = triples.shape[1]
+    uniforms = np.full((3, size), 1 << 63, dtype=np.uint64)  # u = 0.5
+    uniforms[:, ::2] = 1 << 62  # u = 0.25 at every other trial
+    got, want = play_crafted(monkeypatch, [True] * 3, [first_q, 1.0, 1.0], triples, uniforms)
+    assert got == want
 
 
 def recording_executor(sizes):

@@ -370,11 +370,13 @@ class TestStreamedTables:
         [
             (["--n", "100000", "--cost", "0.1"], 15),
             (["--n", "50000", "--cost", "0.25", "--format", "json"], 25),
+            (["--n", "100000", "--cost", "0.1", "--format", "json"], 15),
         ],
-        ids=["csv", "json"],
+        ids=["csv", "json", "json-100000"],
     )
     def test_peak_memory_with_out(self, tmp_path, argv, limit_mb):
-        # The in-memory writer peaked at 52 MB (CSV) and 60 MB (JSON) here.
+        # The in-memory writer peaked at 52 MB (CSV) and 60 MB (JSON) here;
+        # the JSON writer that listed all rows first peaked at 31 MB at 1e5.
         argv = ["solve", *argv, "--tables", "--out", str(tmp_path / "t.out")]
         tracemalloc.start()
         try:
@@ -383,6 +385,27 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mb * 1e6
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [{"a": 1}],
+            [
+                {"s": 'x, "y",\n      z', "u": "\u00e9\u2264", "none": None, "f": -0.0},
+                {"s": "}{][", "u": "", "none": None, "f": 1e-300},
+            ],
+        ],
+        ids=["empty", "one", "strings"],
+    )
+    def test_json_rows_stream_as_one_document(self, rows):
+        meta = {"tool": "costly-secretary", "note": "a, b: c"}
+        want = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
+        assert "".join(cli._json_pieces(iter(rows), meta)) == want
+
+    def test_json_rejects_nan_rows(self):
+        with pytest.raises(ValueError):
+            "".join(cli._json_pieces([{"x": math.nan}], {"tool": "costly-secretary"}))
 
 
 class TestTableFreeSolves:
