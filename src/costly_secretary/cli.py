@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import convergence_report, limit_constant
 from .equilibrium import (
+    _BLOCK,
     GameConfig,
     closed_form_success,
     equilibrium_accept_probs,
@@ -101,10 +102,17 @@ def _run_solve(args: argparse.Namespace) -> int:
     config = GameConfig(args.n, args.cost)
     tables = solve_values(config, tables=args.tables)
     if args.tables:
-        v0, v1 = tables.v0[1:].tolist(), tables.v1[1:].tolist()
+        accept = equilibrium_accept_probs(config)
+        # one block of rows becomes Python floats at a time
         rows = (
             {"stage": n, "v0": a, "v1": b, "accept_record": q}
-            for n, (a, b, q) in enumerate(zip(v0, v1, equilibrium_accept_probs(config)), start=1)
+            for lo in range(1, config.n_applicants + 1, _BLOCK)
+            for n, a, b, q in zip(
+                itertools.count(lo),
+                tables.v0[lo : lo + _BLOCK].tolist(),
+                tables.v1[lo : lo + _BLOCK].tolist(),
+                accept[lo - 1 : lo - 1 + _BLOCK],
+            )
         )
     else:
         rows = [

@@ -70,8 +70,8 @@ class GameConfig:
         object.__setattr__(self, "cost", _check_cost(self.cost))
 
 
-# Stages per vectorized block: bounds the temporaries of solve_values and
-# _acceptance_mass to a few hundred kB whatever N is.
+# Stages per vectorized block: bounds the temporaries of solve_values,
+# record_survival_product and _acceptance_mass to a few hundred kB whatever N is.
 _BLOCK = 1 << 14
 # compute_threshold estimates the tail sums for N at or above this size.  There
 # the first omitted Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below
@@ -310,11 +310,16 @@ def record_survival_product(n: int, cost: float) -> float:
 
     This is the probability that no current-best applicant has been accepted
     through stage n while every current best is accepted with probability
-    ``cost``.  Always in (0, 1].
+    ``cost``.  Always in (0, 1].  The factors are multiplied in blocks of at
+    most _BLOCK, so the memory used does not grow with n.
     """
     n = _as_count(n, 0, "n")
     cost = _check_cost(cost)
-    return float(np.prod(1.0 - cost / np.arange(1.0, n + 1.0)))
+    product = 1.0
+    for lo in range(1, n + 1, _BLOCK):
+        factors = 1.0 - cost / np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64)
+        product *= float(np.prod(factors))
+    return product
 
 
 def _acceptance_mass(config: GameConfig) -> float:
@@ -324,52 +329,44 @@ def _acceptance_mass(config: GameConfig) -> float:
     no acceptance contributing zero), so both public closed forms read off
     this value and the stopping-time identity holds to a rounding error.
 
-    The threshold is 1 only at N = 2, where the factored form degenerates
-    (its trailing sum picks up a 1/0 term under a zero prefactor).  There
-    stage 1 is always a current best and is accepted outright, so the mass
-    is exactly 1.
+    With S_k = record_survival_product(k, cost), the mass is
+    cost * sum_{k=0}^{n*-2} S_k + (n*-1) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k.
+    The S_k are rising factorials over k!, so sum_{k=0}^{m} S_k telescopes to
+    S_m (m+1-cost)/(1-cost), and (n*-1) S_{n*-1} = S_{n*-2} (n*-1-cost):
 
-    The survival products and the tail terms are made and summed in blocks of
-    at most _BLOCK terms, so the memory used does not grow with N.
+        N * pi = S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
+
+    Only the harmonic tail is summed, streamed in blocks of at most _BLOCK
+    terms.  At N = 2 the threshold is 1 and S_{n*-2} is undefined; there
+    stage 1 is always a current best, accepted outright, so the mass is 1.
     """
     n_apps = config.n_applicants
     cost = config.cost
     n_star = compute_threshold(n_apps)
     if n_star == 1:
         return 1.0
-    survival = 1.0  # S_k after the last block streamed
-
-    def survival_blocks():  # S_0 .. S_{n*-2}
-        nonlocal survival
-        yield [1.0]
-        for lo in range(1, n_star - 1, _BLOCK):
-            hi = min(lo + _BLOCK, n_star - 1)
-            run = np.empty(hi - lo + 1, dtype=np.float64)
-            run[0] = survival
-            run[1:] = 1.0 - cost / np.arange(lo, hi, dtype=np.float64)
-            np.multiply.accumulate(run, out=run)
-            survival = float(run[-1])
-            yield run[1:].tolist()
-
     # fsum is correctly rounded, so streaming in blocks changes no bit
-    pre_sum = math.fsum(itertools.chain.from_iterable(survival_blocks()))
-    survival_at_threshold = survival * (1.0 - cost / (n_star - 1))
     tail_sum = math.fsum(
         itertools.chain.from_iterable(
             (1.0 / np.arange(lo, min(lo + _BLOCK, n_apps))).tolist()
             for lo in range(n_star - 1, n_apps, _BLOCK)
         )
     )
-    return cost * pre_sum + (n_star - 1) * survival_at_threshold * tail_sum
+    return (
+        record_survival_product(n_star - 2, cost)
+        * (n_star - 1 - cost)
+        * (cost / (1.0 - cost) + tail_sum)
+    )
 
 
 def closed_form_success(config: GameConfig) -> float:
     """Success probability without running the backward induction.
 
-    Evaluates (cost/N) * sum_{n<n*} S_{n-1} + ((n*-1)/N) * S_{n*-1} *
-    sum_{n=n*}^{N} 1/(n-1), where S is record_survival_product.  Agrees with
-    solve_values(config).success_probability to well below 1e-12 on
-    moderate instance sizes.
+    Evaluates S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
+    / N, where S is record_survival_product: the telescoped form of
+    (cost/N) * sum_{k<n*-1} S_k + ((n*-1)/N) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k.
+    Agrees with solve_values(config).success_probability to well below 1e-12
+    on moderate instance sizes.
     """
     return _acceptance_mass(config) / config.n_applicants
 

@@ -365,18 +365,26 @@ class TestStreamedTables:
         written = target.read_text(encoding="utf-8") if to_file else out
         assert written == _reference_tables(n_apps, cost, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block", [1, 3, 10])
+    def test_bytes_do_not_depend_on_the_row_block(self, capsys, monkeypatch, block, fmt):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        argv = ["solve", "--n", "10", "--cost", "0.3", "--tables", "--format", fmt]
+        assert capture(capsys, argv) == (0, _reference_tables(10, 0.3, fmt), "")
+
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [
-            (["--n", "100000", "--cost", "0.1"], 15),
+            (["--n", "100000", "--cost", "0.1"], 7),
             (["--n", "50000", "--cost", "0.25", "--format", "json"], 25),
-            (["--n", "100000", "--cost", "0.1", "--format", "json"], 15),
+            (["--n", "100000", "--cost", "0.1", "--format", "json"], 7),
         ],
         ids=["csv", "json", "json-100000"],
     )
     def test_peak_memory_with_out(self, tmp_path, argv, limit_mb):
         # The in-memory writer peaked at 52 MB (CSV) and 60 MB (JSON) here;
-        # the JSON writer that listed all rows first peaked at 31 MB at 1e5.
+        # the JSON writer that listed all rows first peaked at 31 MB at 1e5,
+        # and turning both whole tables into lists at 10-11 MB.
         argv = ["solve", *argv, "--tables", "--out", str(tmp_path / "t.out")]
         tracemalloc.start()
         try:

@@ -368,6 +368,21 @@ class TestRecordSurvivalProduct:
                 s = record_survival_product(n, cost)
                 assert 0.0 < s <= 1.0
 
+    def test_flat_memory_and_one_block_bits(self):
+        # the 1e7 factors as one float64 array would take 80 MB
+        tracemalloc.start()
+        try:
+            record_survival_product(10**7, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+        # up to one block it is np.prod of the one whole array
+        for cost in (0.1, 0.5, 0.9):
+            for n in (1, 2, 10, _BLOCK - 1, _BLOCK):
+                whole = float(np.prod(1.0 - cost / np.arange(1.0, n + 1.0)))
+                assert record_survival_product(n, cost) == whole
+
 
 def list_acceptance_mass(n_apps, cost):
     """Reference: the closed form with every survival product in one list."""
@@ -387,12 +402,33 @@ def first_size(start, reached):
     return next(n for n in itertools.count(start) if reached(n))
 
 
+def exact_acceptance_mass(n_apps, cost):
+    """Reference: the closed form's definition in exact rationals,
+    cost * sum_{k<n*-1} S_k + (n*-1) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k."""
+    n_star = exact_threshold(n_apps)
+    if n_star == 1:
+        return Fraction(1)
+    survivals = [Fraction(1)]  # S_0 .. S_{n*-1}
+    for k in range(1, n_star):
+        survivals.append(survivals[-1] * (1 - cost / k))
+    tail = sum(Fraction(1, k) for k in range(n_star - 1, n_apps))
+    return cost * sum(survivals[:-1]) + (n_star - 1) * survivals[-1] * tail
+
+
 class TestClosedForms:
+    @pytest.mark.parametrize("cost", [Fraction(k, 8) for k in (0, 1, 3, 4, 7)], ids=str)
+    def test_matches_exact_definition(self, cost):
+        # dyadic costs are exact floats, so only the closed form rounds
+        for n_apps in list(range(2, 61)) + [100, 345, 1000]:
+            exact = exact_acceptance_mass(n_apps, cost)
+            mass = expected_stopping_time(GameConfig(n_apps, float(cost)))
+            assert abs(Fraction(mass) - exact) <= Fraction(1, 10**14) * exact
+
     @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
-    def test_bit_identical_to_list_form(self, cost):
-        # the sums stream in blocks of _BLOCK terms; the last two sizes make
-        # the n* - 2 survival products one whole block and the N - n* + 1
-        # tail terms two whole blocks
+    def test_matches_list_form(self, cost):
+        # the product and the tail run in blocks of _BLOCK terms; the last two
+        # sizes make the n* - 2 survival factors one whole block and the
+        # N - n* + 1 tail terms two whole blocks
         whole_survival = first_size(
             int(_BLOCK * math.e), lambda n: compute_threshold(n) - 2 >= _BLOCK
         )
@@ -406,8 +442,8 @@ class TestClosedForms:
         for n_apps in sizes + (whole_survival, whole_tail):
             cfg = GameConfig(n_apps, cost)
             mass = list_acceptance_mass(n_apps, cost)
-            assert expected_stopping_time(cfg) == mass
-            assert closed_form_success(cfg) == mass / n_apps
+            assert abs(expected_stopping_time(cfg) - mass) <= 2e-13 * mass
+            assert closed_form_success(cfg) == expected_stopping_time(cfg) / n_apps
 
     def test_peak_memory_does_not_grow_with_n(self):
         # one block of 2**14 floats as a Python list is about 0.5 MB; the
