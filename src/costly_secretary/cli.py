@@ -28,8 +28,8 @@ from .asymptotics import convergence_report, limit_constant
 from .equilibrium import (
     _BLOCK,
     GameConfig,
+    ValueTables,
     closed_form_success,
-    equilibrium_accept_probs,
     expected_stopping_time,
     solve_values,
 )
@@ -65,33 +65,107 @@ def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
         yield ",".join(_fmt(row[k]) for k in header) + "\n"
 
 
+# The indent=2 layout of one flat row of the "rows" list
+_ROW_OPEN = "    {\n      "
+_ITEM_SEP = ",\n      "
+_ROW_CLOSE = "\n    }"
+
+
+def _json_head(meta: dict) -> str:
+    head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
+    return head[: -len("\n}")] + ',\n  "rows": ['
+
+
 def _json_pieces(rows: Iterable[dict], meta: dict) -> Iterator[str]:
     """The bytes of ``{"meta": meta, "rows": [...]}`` encoded with indent=2,
     made one flat row at a time: the C encoder writes each row's item
     separators at depth-2 indentation, and the row's braces are re-laid."""
-    head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
-    row_encoder = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
-    yield head[: -len("\n}")] + ',\n  "rows": ['
+    row_encoder = json.JSONEncoder(allow_nan=False, separators=(_ITEM_SEP, ": "))
+    yield _json_head(meta)
     sep = "\n"
     for row in rows:
-        yield sep + "    {\n      " + row_encoder.encode(row)[1:-1] + "\n    }"
+        yield sep + _ROW_OPEN + row_encoder.encode(row)[1:-1] + _ROW_CLOSE
         sep = ",\n"
     yield ("\n  ]" if sep == ",\n" else "]") + "\n}\n"
 
 
-def _emit(rows: Iterable[dict], meta: dict, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        pieces = _json_pieces(rows, meta)
+_TABLE_COLUMNS = ("stage", "v0", "v1", "accept_record")
+
+
+def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
+    """The bytes that _csv_lines or _json_pieces write for one dict per stage
+    of ``solve --tables``, made from one row template per format.
+
+    A float is written as those writers write it: ``%.17g`` in CSV, and
+    ``%r``, the ``float.__repr__`` that the C JSON encoder writes, in JSON,
+    where a non-finite value raises ValueError as allow_nan=False does.  The
+    floor 1/N, the cost and 1.0 are formatted once: the accept column is the
+    cost before the threshold and 1.0 from it, and the v1 at the end of each
+    block that equal the floor (every v1 from the tail on) are written by a
+    second template that holds the floor's string.  One block of _BLOCK
+    stages becomes Python floats at a time.
+    """
+    n_apps = tables.config.n_applicants
+    floor = 1.0 / n_apps
+    conv = "%r" if fmt == "json" else "%.17g"
+
+    def template(v1: str) -> str:
+        cells = ("%d", conv, v1, "%s")
+        if fmt == "json":
+            # the separator leads each row; the first row's "," is dropped below
+            items = _ITEM_SEP.join(f'"{c}": {x}' for c, x in zip(_TABLE_COLUMNS, cells))
+            return ",\n" + _ROW_OPEN + items + _ROW_CLOSE
+        return ",".join(cells) + "\n"
+
+    row, floor_row = template(conv), template(conv % floor)
+    cost_s, one_s = conv % tables.config.cost, conv % 1.0
+
+    def accept(lo: int, hi: int) -> Iterator[str]:
+        before = min(max(tables.threshold - lo, 0), hi - lo)
+        return itertools.chain(
+            itertools.repeat(cost_s, before), itertools.repeat(one_s, hi - lo - before)
+        )
+
+    def block_rows(lo: int) -> Iterator[str]:
+        hi = min(lo + _BLOCK, n_apps + 1)
+        v0 = tables.v0[lo:hi]
+        v1 = tables.v1[lo:hi]
+        if fmt == "json" and not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+            raise ValueError("Out of range float values are not JSON compliant")
+        not_floor = np.flatnonzero(v1 != floor)
+        k = int(not_floor[-1]) + 1 if not_floor.size else 0
+        mid = lo + k
+        return itertools.chain(
+            map(
+                row.__mod__,
+                zip(range(lo, mid), v0[:k].tolist(), v1[:k].tolist(), accept(lo, mid)),
+            ),
+            map(floor_row.__mod__, zip(range(mid, hi), v0[k:].tolist(), accept(mid, hi))),
+        )
+
+    if fmt == "json":
+        head, end = _json_head(meta), "\n  ]\n}\n"
     else:
-        pieces = _csv_lines(rows)
+        head, end = ",".join(_TABLE_COLUMNS) + "\n", ""
+    rows = itertools.chain.from_iterable(map(block_rows, range(1, n_apps + 1, _BLOCK)))
+    yield head + next(rows).removeprefix(",")
+    yield from rows
+    yield end
+
+
+def _write(pieces: Iterator[str], args: argparse.Namespace) -> None:
     if args.out:
         sink = open(args.out, "w", encoding="utf-8", newline="\n")
     else:
         sink = contextlib.nullcontext(sys.stdout)
-    # Join pieces in batches: a JSON table has ~1M of them, and a write costs ~1 us on a pipe.
+    # Join pieces in batches: a table has ~1M of them, and a write costs ~1 us on a pipe.
     with sink as fh:
         while text := "".join(itertools.islice(pieces, 4096)):
             fh.write(text)
+
+
+def _emit(rows: Iterable[dict], meta: dict, args: argparse.Namespace) -> None:
+    _write(_json_pieces(rows, meta) if args.format == "json" else _csv_lines(rows), args)
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -102,31 +176,20 @@ def _run_solve(args: argparse.Namespace) -> int:
     config = GameConfig(args.n, args.cost)
     tables = solve_values(config, tables=args.tables)
     if args.tables:
-        accept = equilibrium_accept_probs(config)
-        # one block of rows becomes Python floats at a time
-        rows = (
-            {"stage": n, "v0": a, "v1": b, "accept_record": q}
-            for lo in range(1, config.n_applicants + 1, _BLOCK)
-            for n, a, b, q in zip(
-                itertools.count(lo),
-                tables.v0[lo : lo + _BLOCK].tolist(),
-                tables.v1[lo : lo + _BLOCK].tolist(),
-                accept[lo - 1 : lo - 1 + _BLOCK],
-            )
-        )
-    else:
-        rows = [
-            {
-                "n": config.n_applicants,
-                "cost": config.cost,
-                "n_star": tables.threshold,
-                "pi": tables.success_probability,
-                "expected_tau": expected_stopping_time(config),
-                "accept_record_before_threshold": config.cost,
-                "accept_record_from_threshold": 1.0,
-                "accept_nonrecord": 0.0,
-            }
-        ]
+        _write(_table_pieces(tables, args.format, _meta(args)), args)
+        return 0
+    rows = [
+        {
+            "n": config.n_applicants,
+            "cost": config.cost,
+            "n_star": tables.threshold,
+            "pi": tables.success_probability,
+            "expected_tau": expected_stopping_time(config),
+            "accept_record_before_threshold": config.cost,
+            "accept_record_from_threshold": 1.0,
+            "accept_nonrecord": 0.0,
+        }
+    ]
     _emit(rows, _meta(args), args)
     return 0
 

@@ -11,7 +11,7 @@ and the expected length of search.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import operator
 import os
@@ -71,11 +71,13 @@ class GameConfig:
 
 
 # Stages per vectorized block: bounds the temporaries of solve_values,
-# record_survival_product and _acceptance_mass to a few hundred kB whatever N is.
+# record_survival_product and _reciprocal_sum to a few hundred kB whatever N is.
 _BLOCK = 1 << 14
-# compute_threshold estimates the tail sums for N at or above this size.  There
-# the first omitted Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below
-# 1e-17; below it the loop takes at most ~630 steps.
+# compute_threshold reads N below this size from one cached
+# compute_threshold_sequence table (about 50 us to build, once per process)
+# and estimates the tail sums from it on: there the first omitted
+# Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below 1e-17.  An estimate
+# that does not clear _THRESHOLD_MARGIN falls back to the Kahan loop.
 _ESTIMATE_MIN_N = 1000
 # The estimate and the Kahan loop each err by under ~1e-15, so a comparison
 # against 1 that clears this margin comes out the same in both.
@@ -104,37 +106,45 @@ def _tail_estimate(n_apps: int, n: int) -> float:
 def compute_threshold(n_applicants: int) -> int:
     """First stage from which a current-best applicant is accepted outright.
 
-    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1.  For N >= 1000 the
-    tail sums near N/e are estimated in O(1) by the Euler-Maclaurin expansion
-    of the harmonic numbers, stepping n until T(n) <= 1 < T(n-1); that n is
-    returned only when both estimates clear 1 by _THRESHOLD_MARGIN (1e-12),
-    over 1000 times the combined error of the estimate and of the loop below,
-    so the answer is the loop's; the margin is cleared up to about N = 1e11,
-    and from about 1e12 on (1/n* nears it) it is not.  Otherwise, and for
-    smaller N, the tail sums are accumulated backward with Kahan compensation
-    (error below ~1e-15; N = 2, whose tail sum is exactly 1, is exact).  That
-    loop runs only up to N = 1e9: above it, an estimate that does not clear
-    the margin raises ValueError instead of starting a loop of days.
+    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1, by one of three routes:
+
+    - N < 1000: entry N of compute_threshold_sequence(999), built on the
+      first such call and kept for the life of the process.
+    - N >= 1000: the tail sums near N/e are estimated in O(1) by the
+      Euler-Maclaurin expansion of the harmonic numbers, stepping n until
+      T(n) <= 1 < T(n-1); that n is returned only when both estimates clear
+      1 by _THRESHOLD_MARGIN (1e-12), over 1000 times the combined error of
+      the estimate and of the loop below, so the answer is the loop's.  The
+      margin is cleared up to about N = 1e11, and from about 1e12 on (1/n*
+      nears it) it is not.
+    - An estimate that does not clear the margin: the tail sums are
+      accumulated backward with Kahan compensation (error below ~1e-15;
+      N = 2, whose tail sum is exactly 1, is exact).  That loop runs only up
+      to N = 1e9: above it, an undecided estimate raises ValueError instead
+      of starting a loop of days.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
-    if n_applicants >= _ESTIMATE_MIN_N:
-        n = int((n_applicants - 1) / math.e) + 1
-        while _tail_estimate(n_applicants, n) > 1.0:
-            n += 1
-        while _tail_estimate(n_applicants, n - 1) <= 1.0:
-            n -= 1
-        if (
-            _tail_estimate(n_applicants, n) <= 1.0 - _THRESHOLD_MARGIN
-            and _tail_estimate(n_applicants, n - 1) > 1.0 + _THRESHOLD_MARGIN
-        ):
-            return n
-        if n_applicants > _LOOP_MAX_N:
-            raise ValueError(
-                f"cannot settle the threshold for n_applicants={n_applicants}: "
-                f"its tail-sum estimate is within {_THRESHOLD_MARGIN:g} of 1, and "
-                f"the exact sum would take about {0.63 * n_applicants:.1e} steps "
-                f"(it is run only up to n_applicants={_LOOP_MAX_N})"
-            )
+    if n_applicants < _ESTIMATE_MIN_N:
+        return _small_thresholds(_ESTIMATE_MIN_N - 1)[n_applicants]
+    # the estimate brackets n >= 3 only (T(n-1) needs n-1 >= 2); the loop
+    # settles the smaller thresholds, of N <= 4
+    n = max(int((n_applicants - 1) / math.e) + 1, 3)
+    while _tail_estimate(n_applicants, n) > 1.0:
+        n += 1
+    while n > 3 and _tail_estimate(n_applicants, n - 1) <= 1.0:
+        n -= 1
+    if (
+        _tail_estimate(n_applicants, n) <= 1.0 - _THRESHOLD_MARGIN
+        and _tail_estimate(n_applicants, n - 1) > 1.0 + _THRESHOLD_MARGIN
+    ):
+        return n
+    if n_applicants > _LOOP_MAX_N:
+        raise ValueError(
+            f"cannot settle the threshold for n_applicants={n_applicants}: "
+            f"its tail-sum estimate is within {_THRESHOLD_MARGIN:g} of 1, and "
+            f"the exact sum would take about {0.63 * n_applicants:.1e} steps "
+            f"(it is run only up to n_applicants={_LOOP_MAX_N})"
+        )
     total = 0.0
     comp = 0.0
     candidate = n_applicants
@@ -148,6 +158,11 @@ def compute_threshold(n_applicants: int) -> int:
         else:
             break
     return candidate
+
+
+@functools.cache
+def _small_thresholds(max_applicants: int) -> tuple[int, ...]:
+    return tuple(compute_threshold_sequence(max_applicants).tolist())
 
 
 def compute_threshold_sequence(max_applicants: int) -> np.ndarray:
@@ -322,6 +337,32 @@ def record_survival_product(n: int, cost: float) -> float:
     return product
 
 
+def _reciprocal_sum(lo: int, hi: int) -> float:
+    """sum_{k=lo}^{hi-1} of the doubles 1.0/k, correctly rounded: the bits
+    of math.fsum over the same terms, for 1 <= lo < hi.
+
+    Each term is m * 2^(e-1075) for its 53-bit mantissa m and biased
+    exponent e.  Per block of at most _BLOCK terms, the mantissas of each run
+    of equal exponent (1.0/k falls, so runs are contiguous) are summed
+    exactly in int64 as 27- and 26-bit halves, each sum below
+    2^27 * _BLOCK = 2^41.  The run sums are shifted into one Python int over
+    the smallest exponent, which float() rounds correctly once.
+    """
+    e_min = math.frexp(1.0 / (hi - 1))[1] + 1022  # biased exponent of the last term
+    total = 0
+    for start in range(lo, hi, _BLOCK):
+        bits = (1.0 / np.arange(start, min(start + _BLOCK, hi), dtype=np.float64)).view(np.int64)
+        exps = bits >> 52
+        runs = np.flatnonzero(np.diff(exps, prepend=0))
+        bits &= (1 << 52) - 1
+        bits |= 1 << 52
+        high = np.add.reduceat(bits >> 26, runs).tolist()
+        low = np.add.reduceat(bits & ((1 << 26) - 1), runs).tolist()
+        for e, h, l in zip(exps[runs].tolist(), high, low):
+            total += ((h << 26) + l) << (e - e_min)
+    return math.ldexp(float(total), e_min - 1075)
+
+
 def _acceptance_mass(config: GameConfig) -> float:
     """Shared closed-form core: returns N * success probability.
 
@@ -336,22 +377,23 @@ def _acceptance_mass(config: GameConfig) -> float:
 
         N * pi = S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
 
-    Only the harmonic tail is summed, streamed in blocks of at most _BLOCK
-    terms.  At N = 2 the threshold is 1 and S_{n*-2} is undefined; there
-    stage 1 is always a current best, accepted outright, so the mass is 1.
+    Only the harmonic tail is summed, exactly: the sum of the doubles 1.0/k,
+    correctly rounded once (math.fsum for a tail of at most _BLOCK terms,
+    _reciprocal_sum in integers for a longer one; both give the same bits).
+    At N = 2 the threshold is 1 and S_{n*-2} is undefined; there stage 1 is
+    always a current best, accepted outright, so the mass is 1.
     """
     n_apps = config.n_applicants
     cost = config.cost
     n_star = compute_threshold(n_apps)
     if n_star == 1:
         return 1.0
-    # fsum is correctly rounded, so streaming in blocks changes no bit
-    tail_sum = math.fsum(
-        itertools.chain.from_iterable(
-            (1.0 / np.arange(lo, min(lo + _BLOCK, n_apps))).tolist()
-            for lo in range(n_star - 1, n_apps, _BLOCK)
-        )
-    )
+    if n_apps - n_star + 1 <= _BLOCK:
+        # up to one block, fsum: it beats the numpy calls below ~1000 terms
+        # (N ~ 1500, most calls of a sweep) and costs under a millisecond
+        tail_sum = math.fsum((1.0 / np.arange(n_star - 1, n_apps)).tolist())
+    else:
+        tail_sum = _reciprocal_sum(n_star - 1, n_apps)
     return (
         record_survival_product(n_star - 2, cost)
         * (n_star - 1 - cost)
@@ -364,9 +406,10 @@ def closed_form_success(config: GameConfig) -> float:
 
     Evaluates S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
     / N, where S is record_survival_product: the telescoped form of
-    (cost/N) * sum_{k<n*-1} S_k + ((n*-1)/N) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k.
-    Agrees with solve_values(config).success_probability to well below 1e-12
-    on moderate instance sizes.
+    (cost/N) * sum_{k<n*-1} S_k + ((n*-1)/N) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k,
+    with the harmonic tail summed exactly and rounded once.  Agrees with
+    solve_values(config).success_probability to well below 1e-12 on
+    moderate instance sizes.
     """
     return _acceptance_mass(config) / config.n_applicants
 

@@ -7,10 +7,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from costly_secretary import (
     GameConfig,
+    ValueTables,
     __version__,
     closed_form_success,
     equilibrium_accept_probs,
@@ -378,13 +380,16 @@ class TestStreamedTables:
             (["--n", "100000", "--cost", "0.1"], 7),
             (["--n", "50000", "--cost", "0.25", "--format", "json"], 25),
             (["--n", "100000", "--cost", "0.1", "--format", "json"], 7),
+            (["--n", "100000", "--cost", "0.4"], 4.3),
         ],
-        ids=["csv", "json", "json-100000"],
+        ids=["csv", "json", "json-100000", "csv-no-column"],
     )
     def test_peak_memory_with_out(self, tmp_path, argv, limit_mb):
         # The in-memory writer peaked at 52 MB (CSV) and 60 MB (JSON) here;
         # the JSON writer that listed all rows first peaked at 31 MB at 1e5,
-        # and turning both whole tables into lists at 10-11 MB.
+        # and turning both whole tables into lists at 10-11 MB.  Rows made
+        # per block peak at 3.8-4.0 MB at 1e5 (CSV); a whole acceptance
+        # column of 8 bytes per stage brings that to 4.6-4.8 MB.
         argv = ["solve", *argv, "--tables", "--out", str(tmp_path / "t.out")]
         tracemalloc.start()
         try:
@@ -410,6 +415,36 @@ class TestStreamedTables:
         meta = {"tool": "costly-secretary", "note": "a, b: c"}
         want = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
         assert "".join(cli._json_pieces(iter(rows), meta)) == want
+
+    @staticmethod
+    def _crafted_tables(bad=None):
+        # v1 at the floor 1/10 inside blocks of 4 stages, the threshold
+        # inside a block, and one value that may be made non-finite
+        v0 = np.array([math.nan, 0.5, 0.45, 0.4, 1 / 3, 0.3, 0.25, 0.2, 0.15, 0.1, 0.0])
+        v1 = np.array([math.nan, 0.2, 0.1, 0.15, 0.1, 0.1, 0.11, 0.1, 0.1, 0.1, 0.1])
+        if bad is not None:
+            v1[3] = bad
+        return ValueTables(GameConfig(10, 0.3), v0, v1, threshold=6, success_probability=0.2)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_rows_equal_the_dict_writers(self, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "_BLOCK", 4)
+        tables = self._crafted_tables()
+        rows = [
+            {"stage": n, "v0": tables.v0[n].item(), "v1": tables.v1[n].item(),
+             "accept_record": 0.3 if n < 6 else 1.0}
+            for n in range(1, 11)
+        ]
+        meta = {"tool": "costly-secretary"}
+        want = cli._json_pieces(rows, meta) if fmt == "json" else cli._csv_lines(rows)
+        assert "".join(cli._table_pieces(tables, fmt, meta)) == "".join(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_table_rejects_non_finite_values(self, bad):
+        tables = self._crafted_tables(bad)
+        with pytest.raises(ValueError):
+            "".join(cli._table_pieces(tables, "json", {"tool": "costly-secretary"}))
+        assert "".join(cli._table_pieces(tables, "csv", {})).count(format(bad, ".17g")) == 1
 
     def test_json_rejects_nan_rows(self):
         with pytest.raises(ValueError):

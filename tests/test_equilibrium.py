@@ -91,7 +91,9 @@ class TestComputeThreshold:
         assert compute_threshold(10**9) == 367879442
 
     def test_fallback_is_the_kahan_loop(self, monkeypatch):
-        # no estimate clears an infinite margin, so every call runs the loop
+        # every size is estimated, and no estimate clears an infinite margin,
+        # so every call runs the loop
+        monkeypatch.setattr(equilibrium, "_ESTIMATE_MIN_N", 2)
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         for n in range(2, 5001):
             assert compute_threshold(n) == kahan_threshold(n), n
@@ -413,6 +415,48 @@ def exact_acceptance_mass(n_apps, cost):
         survivals.append(survivals[-1] * (1 - cost / k))
     tail = sum(Fraction(1, k) for k in range(n_star - 1, n_apps))
     return cost * sum(survivals[:-1]) + (n_star - 1) * survivals[-1] * tail
+
+
+def tail_test_sizes(dense_max, sparse_max):
+    """Sizes for the exact harmonic tail: every N up to dense_max; N at the
+    edges of the default block; N whose N-1 or n*-1 is at 2^j - 1, 2^j or
+    2^j + 1; 200 seeded sizes, log-uniform up to 5e6.  Sizes above
+    sparse_max are left out."""
+    sizes = set(range(3, dense_max + 1)) | {16385, 16386, 2 * 16384 + 1}
+    for j in range(1, 22):
+        for t in (2**j - 1, 2**j, 2**j + 1):
+            sizes.add(t + 1)
+            # the first N whose n* - 1 reaches t
+            start = max(int(t * math.e) - 5, 2)
+            sizes.add(next(n for n in itertools.count(start) if compute_threshold(n) - 1 >= t))
+    rng = random.Random(16)
+    log_lo, log_hi = math.log(3001), math.log(5 * 10**6)
+    sizes.update(int(math.exp(rng.uniform(log_lo, log_hi))) for _ in range(200))
+    return sorted(n for n in sizes if 3 <= n <= sparse_max)  # N = 2 sums no tail
+
+
+class TestExactTail:
+    @pytest.mark.parametrize(
+        "block, dense_max, sparse_max",
+        [(_BLOCK, 3000, 5 * 10**6), (64, 3000, 4 * 10**4), (3, 600, 5000)],
+        ids=["default", "block-64", "block-3"],
+    )
+    def test_bits_equal_fsum(self, monkeypatch, block, dense_max, sparse_max):
+        # small blocks cross many block edges and exponent runs; their size
+        # ranges are cut to keep the test short
+        monkeypatch.setattr(equilibrium, "_BLOCK", block)
+        for n_apps in tail_test_sizes(dense_max, sparse_max):
+            lo = compute_threshold(n_apps) - 1
+            want = math.fsum((1.0 / np.arange(lo, n_apps)).tolist())
+            assert equilibrium._reciprocal_sum(lo, n_apps) == want, n_apps
+
+    def test_bits_equal_fsum_at_block_edges(self, monkeypatch):
+        # ranges of one term and of whole blocks plus or minus one
+        monkeypatch.setattr(equilibrium, "_BLOCK", 64)
+        for lo in (1, 2, 3, 63, 64, 65, 1000, 2**20 - 1):
+            for size in (1, 2, 63, 64, 65, 127, 128, 129):
+                want = math.fsum((1.0 / np.arange(lo, lo + size)).tolist())
+                assert equilibrium._reciprocal_sum(lo, lo + size) == want, (lo, size)
 
 
 class TestClosedForms:
