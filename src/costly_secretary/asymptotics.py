@@ -17,7 +17,6 @@ from .equilibrium import (
     GameConfig,
     _as_count,
     _check_cost,
-    record_survival_product,
     solve_values,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "AsymptoticReport",
     "limit_constant",
     "threshold_bounds",
-    "gauss_product_check",
     "convergence_report",
 ]
 
@@ -40,17 +38,6 @@ def threshold_bounds(n_applicants: int) -> tuple[float, float]:
     """Enclosing interval (N/e, (N-1)/e + 2) for the threshold stage."""
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
     return n_applicants / math.e, (n_applicants - 1) / math.e + 2.0
-
-
-def gauss_product_check(cost: float, n: int) -> float:
-    """n^cost times the record survival product through stage n.
-
-    Converges to 1/Gamma(1-cost) as n grows, which makes the slowly
-    convergent product a useful independent check on ``math.gamma``.
-    """
-    cost = _check_cost(cost)
-    n = _as_count(n, 1, "n")
-    return n**cost * record_survival_product(n, cost)
 
 
 @dataclass(frozen=True)

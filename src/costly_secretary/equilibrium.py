@@ -77,14 +77,20 @@ _BLOCK = 1 << 14
 # compute_threshold_sequence table (about 50 us to build, once per process)
 # and estimates the tail sums from it on: there the first omitted
 # Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below 1e-17.  An estimate
-# that does not clear _THRESHOLD_MARGIN falls back to the Kahan loop.
+# that does not clear _THRESHOLD_MARGIN falls back to the exact tail sum.
 _ESTIMATE_MIN_N = 1000
-# The estimate and the Kahan loop each err by under ~1e-15, so a comparison
-# against 1 that clears this margin comes out the same in both.
+# The estimate errs by under ~1e-15 and the exact tail sum by under ~3e-16
+# (the roundings of each 1.0/k and of the total), so a comparison against 1
+# that clears this margin comes out the same in both.
 _THRESHOLD_MARGIN = 1e-12
-# The Kahan loop takes about 0.63 N steps (about 100 s at N = 1e9); above this
-# size compute_threshold refuses instead of running it.
+# The exact tail sum of the fallback runs over about 0.63 N terms, twice
+# (about 15 s at N = 1e9 on a 2-core host); above this size
+# compute_threshold refuses instead of running it.
 _LOOP_MAX_N = 10**9
+# A harmonic tail of at most this many terms is summed by math.fsum, which
+# beats the numpy calls of _reciprocal_sum below about 700 terms (N ~ 1100);
+# both give the same bits.
+_FSUM_MAX_TERMS = 700
 
 
 def _harmonic_correction(m: int) -> float:
@@ -114,20 +120,21 @@ def compute_threshold(n_applicants: int) -> int:
       Euler-Maclaurin expansion of the harmonic numbers, stepping n until
       T(n) <= 1 < T(n-1); that n is returned only when both estimates clear
       1 by _THRESHOLD_MARGIN (1e-12), over 1000 times the combined error of
-      the estimate and of the loop below, so the answer is the loop's.  The
+      the estimate and of the exact sums below, so the answer is theirs.  The
       margin is cleared up to about N = 1e11, and from about 1e12 on (1/n*
       nears it) it is not.
-    - An estimate that does not clear the margin: the tail sums are
-      accumulated backward with Kahan compensation (error below ~1e-15;
-      N = 2, whose tail sum is exactly 1, is exact).  That loop runs only up
-      to N = 1e9: above it, an undecided estimate raises ValueError instead
-      of starting a loop of days.
+    - An estimate that does not clear the margin: n is stepped the same way
+      on the tail sums of the doubles 1.0/k, each correctly rounded once
+      (_reciprocal_sum, which the closed form also uses), so only a sum
+      within about 3e-16 of 1 could come out on the wrong side.  That
+      costs about 0.63 N terms per sum and runs only up to N = 1e9: above
+      it, an undecided estimate raises ValueError instead.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
     if n_applicants < _ESTIMATE_MIN_N:
         return _small_thresholds(_ESTIMATE_MIN_N - 1)[n_applicants]
-    # the estimate brackets n >= 3 only (T(n-1) needs n-1 >= 2); the loop
-    # settles the smaller thresholds, of N <= 4
+    # the estimate brackets n >= 3 only (T(n-1) needs n-1 >= 2); the exact
+    # sums settle the smaller thresholds, of N <= 4
     n = max(int((n_applicants - 1) / math.e) + 1, 3)
     while _tail_estimate(n_applicants, n) > 1.0:
         n += 1
@@ -145,19 +152,13 @@ def compute_threshold(n_applicants: int) -> int:
             f"the exact sum would take about {0.63 * n_applicants:.1e} steps "
             f"(it is run only up to n_applicants={_LOOP_MAX_N})"
         )
-    total = 0.0
-    comp = 0.0
-    candidate = n_applicants
-    for k in range(n_applicants - 1, 0, -1):
-        y = 1.0 / k - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if total <= 1.0:
-            candidate = k
-        else:
-            break
-    return candidate
+    # the last term 1/(N-1) alone is at most 1, so n stops by N - 1
+    n = min(n, n_applicants - 1)
+    while _reciprocal_sum(n, n_applicants) > 1.0:
+        n += 1
+    while n > 1 and _reciprocal_sum(n - 1, n_applicants) <= 1.0:
+        n -= 1
+    return n
 
 
 @functools.cache
@@ -378,8 +379,9 @@ def _acceptance_mass(config: GameConfig) -> float:
         N * pi = S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
 
     Only the harmonic tail is summed, exactly: the sum of the doubles 1.0/k,
-    correctly rounded once (math.fsum for a tail of at most _BLOCK terms,
-    _reciprocal_sum in integers for a longer one; both give the same bits).
+    correctly rounded once (math.fsum for a tail of at most _FSUM_MAX_TERMS
+    terms, _reciprocal_sum in integers for a longer one; both give the same
+    bits).
     At N = 2 the threshold is 1 and S_{n*-2} is undefined; there stage 1 is
     always a current best, accepted outright, so the mass is 1.
     """
@@ -388,9 +390,7 @@ def _acceptance_mass(config: GameConfig) -> float:
     n_star = compute_threshold(n_apps)
     if n_star == 1:
         return 1.0
-    if n_apps - n_star + 1 <= _BLOCK:
-        # up to one block, fsum: it beats the numpy calls below ~1000 terms
-        # (N ~ 1500, most calls of a sweep) and costs under a millisecond
+    if n_apps - n_star + 1 <= _FSUM_MAX_TERMS:
         tail_sum = math.fsum((1.0 / np.arange(n_star - 1, n_apps)).tolist())
     else:
         tail_sum = _reciprocal_sum(n_star - 1, n_apps)

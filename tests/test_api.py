@@ -31,7 +31,6 @@ PUBLIC = [
     "expected_stopping_time",
     "full_learning_audit",
     "full_learning_counterexample",
-    "gauss_product_check",
     "limit_constant",
     "optimality_scan",
     "policy_success_probability",

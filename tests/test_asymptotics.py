@@ -11,7 +11,6 @@ from costly_secretary import (
     compute_threshold,
     compute_threshold_sequence,
     convergence_report,
-    gauss_product_check,
     limit_constant,
     record_survival_product,
     solve_values,
@@ -77,18 +76,19 @@ class TestThresholdBounds:
 class TestGaussProductCheck:
     def test_zero_cost(self):
         for n in (1, 10, 12345):
-            assert gauss_product_check(0.0, n) == 1.0
+            assert n**0.0 * record_survival_product(n, 0.0) == 1.0
 
     def test_half_cost_large_n(self):
         target = 1.0 / math.gamma(0.5)  # = 1/sqrt(pi)
         assert target == pytest.approx(0.5641895835, abs=1e-9)
-        assert gauss_product_check(0.5, 10**6) == pytest.approx(target, abs=1e-3)
+        n = 10**6
+        assert n**0.5 * record_survival_product(n, 0.5) == pytest.approx(target, abs=1e-3)
 
     def test_deviation_shrinks(self):
         for cost in (0.1, 0.5, 0.9):
             target = 1.0 / math.gamma(1.0 - cost)
             devs = [
-                abs(gauss_product_check(cost, n) - target)
+                abs(n**cost * record_survival_product(n, cost) - target)
                 for n in (10**3, 10**4, 10**5, 10**6)
             ]
             assert devs == sorted(devs, reverse=True)
@@ -159,6 +159,6 @@ class TestConvergenceReport:
 )
 def test_survival_product_scaling_bounded(cost, n):
     # n^c * S_n(c) lies between its limit floor and 1 on the way down
-    value = gauss_product_check(cost, n)
+    value = n**cost * record_survival_product(n, cost)
     assert 0.0 < value <= max(1.0, n**cost * 1.0)
     assert record_survival_product(n, cost) <= 1.0

@@ -23,7 +23,7 @@ from costly_secretary import (
     solve_values,
 )
 from costly_secretary import equilibrium
-from costly_secretary.equilibrium import _BLOCK
+from costly_secretary.equilibrium import _BLOCK, _FSUM_MAX_TERMS
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -90,17 +90,47 @@ class TestComputeThreshold:
         # the Kahan loop gives the same n* after about 1e9 steps
         assert compute_threshold(10**9) == 367879442
 
-    def test_fallback_is_the_kahan_loop(self, monkeypatch):
+    def test_fallback_matches_rational_and_kahan_references(self, monkeypatch):
         # every size is estimated, and no estimate clears an infinite margin,
-        # so every call runs the loop
+        # so every call settles n* with the exact tail sums
         monkeypatch.setattr(equilibrium, "_ESTIMATE_MIN_N", 2)
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         for n in range(2, 5001):
             assert compute_threshold(n) == kahan_threshold(n), n
+        for n in range(2, 301):
+            assert compute_threshold(n) == exact_threshold(n), n
+
+    @pytest.mark.parametrize("shift", [-0.01, 0.01])
+    def test_fallback_steps_from_an_estimate_off_either_way(self, monkeypatch, shift):
+        # an estimate shifted by 0.01 starts the exact sums several stages
+        # below or above n*, and they must step there
+        estimate = equilibrium._tail_estimate
+        monkeypatch.setattr(equilibrium, "_ESTIMATE_MIN_N", 2)
+        monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
+        monkeypatch.setattr(
+            equilibrium, "_tail_estimate", lambda n_apps, n: estimate(n_apps, n) + shift
+        )
+        for n in range(2, 2001):
+            assert compute_threshold(n) == kahan_threshold(n), n
+
+    def test_undecided_estimate_settles_with_the_exact_tail_sum(self, monkeypatch):
+        # at this size the estimated tail sums do not clear the margin, so the
+        # exact sums decide; a spy records that they ran
+        reciprocal_sum = equilibrium._reciprocal_sum
+        calls = []
+
+        def spy(lo, hi):
+            calls.append((lo, hi))
+            return reciprocal_sum(lo, hi)
+
+        monkeypatch.setattr(equilibrium, "_reciprocal_sum", spy)
+        assert compute_threshold(15_872_517) == 5_839_174
+        assert calls
 
     def test_undecided_estimate_above_a_billion_fails_fast(self):
         # at 1e12 the estimated tail sums sit within the margin of 1, and the
-        # loop would take about 6e11 steps; a child process bounds a hang
+        # exact sums would take about 6e11 terms each; a child process bounds
+        # a hang
         code = (
             "import time\n"
             "from costly_secretary import compute_threshold\n"
@@ -119,8 +149,8 @@ class TestComputeThreshold:
         assert "cannot settle the threshold for n_applicants=1000000000000" in message
 
     def test_loop_runs_only_up_to_the_size_limit(self, monkeypatch):
-        # no estimate clears an infinite margin: the loop answers up to the
-        # limit, and above it the call refuses
+        # no estimate clears an infinite margin: the exact sums answer up to
+        # the limit, and above it the call refuses
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         monkeypatch.setattr(equilibrium, "_LOOP_MAX_N", 5000)
         assert compute_threshold(5000) == kahan_threshold(5000)
@@ -469,7 +499,7 @@ class TestClosedForms:
             assert abs(Fraction(mass) - exact) <= Fraction(1, 10**14) * exact
 
     @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
-    def test_matches_list_form(self, cost):
+    def test_matches_list_form(self, monkeypatch, cost):
         # the product and the tail run in blocks of _BLOCK terms; the last two
         # sizes make the n* - 2 survival factors one whole block and the
         # N - n* + 1 tail terms two whole blocks
@@ -482,12 +512,27 @@ class TestClosedForms:
         )
         assert compute_threshold(whole_survival) - 2 == _BLOCK
         assert whole_tail - compute_threshold(whole_tail) + 1 == 2 * _BLOCK
-        sizes = (2, 3, 4, 10, _BLOCK - 1, _BLOCK + 1, 10**5, 10**6)
-        for n_apps in sizes + (whole_survival, whole_tail):
+        # the first tail summed in integers rather than by fsum, and the last
+        # fsum one
+        first_integer_tail = first_size(
+            int(_FSUM_MAX_TERMS * math.e / (math.e - 1)) - 5,
+            lambda n: n - compute_threshold(n) + 1 > _FSUM_MAX_TERMS,
+        )
+        assert first_integer_tail - compute_threshold(first_integer_tail) == _FSUM_MAX_TERMS
+        sizes = (2, 3, 4, 10, first_integer_tail - 1, first_integer_tail, _BLOCK - 1)
+        sizes += (_BLOCK + 1, 10**5, 10**6, whole_survival, whole_tail)
+        masses = {}
+        for n_apps in sizes:
             cfg = GameConfig(n_apps, cost)
-            mass = list_acceptance_mass(n_apps, cost)
-            assert abs(expected_stopping_time(cfg) - mass) <= 2e-13 * mass
-            assert closed_form_success(cfg) == expected_stopping_time(cfg) / n_apps
+            want = list_acceptance_mass(n_apps, cost)
+            masses[n_apps] = mass = expected_stopping_time(cfg)
+            assert abs(mass - want) <= 2e-13 * want
+            assert closed_form_success(cfg) == mass / n_apps
+        # fsum and the integer sum give the same bits on either side of the cut
+        for cut in (0, 10**6):
+            monkeypatch.setattr(equilibrium, "_FSUM_MAX_TERMS", cut)
+            for n_apps in sizes:
+                assert expected_stopping_time(GameConfig(n_apps, cost)) == masses[n_apps], n_apps
 
     def test_peak_memory_does_not_grow_with_n(self):
         # one block of 2**14 floats as a Python list is about 0.5 MB; the
