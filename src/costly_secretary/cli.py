@@ -56,51 +56,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_lines(rows: Iterable[dict]) -> Iterator[str]:
-    header = None
-    for row in rows:
-        if header is None:
-            header = list(row)
-            yield ",".join(header) + "\n"
-        yield ",".join(_fmt(row[k]) for k in header) + "\n"
-
-
-# The indent=2 layout of one flat row of the "rows" list
-_ROW_OPEN = "    {\n      "
+# A JSON row is one flat object of the indent=2 "rows" list: its items sit at depth 2
 _ITEM_SEP = ",\n      "
-_ROW_CLOSE = "\n    }"
 
 
-def _json_head(meta: dict) -> str:
-    head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
-    return head[: -len("\n}")] + ',\n  "rows": ['
+def _row(fmt: str, cells: Iterable[str]) -> str:
+    """One row of the output: a CSV line of ``cells``, or one object of the
+    JSON rows list made of ``"key": value`` items and led by its separator.
+    On ``%``-template cells it makes a row template."""
+    if fmt == "json":
+        return ",\n    {\n      " + _ITEM_SEP.join(cells) + "\n    }"
+    return ",".join(cells) + "\n"
 
 
-def _json_pieces(rows: Iterable[dict], meta: dict) -> Iterator[str]:
-    """The bytes of ``{"meta": meta, "rows": [...]}`` encoded with indent=2,
-    made one flat row at a time: the C encoder writes each row's item
-    separators at depth-2 indentation, and the row's braces are re-laid."""
-    row_encoder = json.JSONEncoder(allow_nan=False, separators=(_ITEM_SEP, ": "))
-    yield _json_head(meta)
-    sep = "\n"
-    for row in rows:
-        yield sep + _ROW_OPEN + row_encoder.encode(row)[1:-1] + _ROW_CLOSE
-        sep = ",\n"
-    yield ("\n  ]" if sep == ",\n" else "]") + "\n}\n"
+def _document(fmt: str, columns: Iterable[str], meta: dict, rows: Iterable[str]) -> Iterator[str]:
+    """The whole output around rows made by _row: the CSV header, or the
+    bytes of ``{"meta": meta, "rows": [...]}`` encoded with indent=2, where
+    the first row drops the separator that leads it."""
+    if fmt == "json":
+        head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
+        head, end = head[: -len("\n}")] + ',\n  "rows": [', "\n  ]\n}\n"
+    else:
+        head, end = _row(fmt, columns), ""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:  # an empty JSON list closes on the head's line
+        yield head + end.lstrip()
+        return
+    # only a JSON row has a separator to drop: a CSV row may begin with an empty cell
+    yield head + (first[1:] if fmt == "json" else first)
+    yield from rows
+    yield end
 
 
 _TABLE_COLUMNS = ("stage", "v0", "v1", "accept_record")
 
 
 def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
-    """The bytes that _csv_lines or _json_pieces write for one dict per stage
-    of ``solve --tables``, made from one row template per format.
+    """The bytes that _emit writes for one dict per stage of
+    ``solve --tables``, made from one row template per format.
 
-    A float is written as those writers write it: ``%.17g`` in CSV, and
-    ``%r``, the ``float.__repr__`` that the C JSON encoder writes, in JSON,
-    where a non-finite value raises ValueError as allow_nan=False does.  The
-    floor 1/N, the cost and 1.0 are formatted once: the accept column is the
-    cost before the threshold and 1.0 from it, and the v1 at the end of each
+    A float is written as _emit writes it: ``%.17g`` in CSV, and ``%r``, the
+    ``float.__repr__`` that the C JSON encoder writes, in JSON, where a
+    non-finite value raises ValueError as allow_nan=False does.  The floor
+    1/N, the cost and 1.0 are formatted once: the accept column is the cost
+    before the threshold and 1.0 from it, and the v1 at the end of each
     block that equal the floor (every v1 from the tail on) are written by a
     second template that holds the floor's string.  One block of _BLOCK
     stages becomes Python floats at a time.
@@ -112,10 +112,8 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
     def template(v1: str) -> str:
         cells = ("%d", conv, v1, "%s")
         if fmt == "json":
-            # the separator leads each row; the first row's "," is dropped below
-            items = _ITEM_SEP.join(f'"{c}": {x}' for c, x in zip(_TABLE_COLUMNS, cells))
-            return ",\n" + _ROW_OPEN + items + _ROW_CLOSE
-        return ",".join(cells) + "\n"
+            cells = (f'"{c}": {x}' for c, x in zip(_TABLE_COLUMNS, cells))
+        return _row(fmt, cells)
 
     row, floor_row = template(conv), template(conv % floor)
     cost_s, one_s = conv % tables.config.cost, conv % 1.0
@@ -143,14 +141,8 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
             map(floor_row.__mod__, zip(range(mid, hi), v0[k:].tolist(), accept(mid, hi))),
         )
 
-    if fmt == "json":
-        head, end = _json_head(meta), "\n  ]\n}\n"
-    else:
-        head, end = ",".join(_TABLE_COLUMNS) + "\n", ""
     rows = itertools.chain.from_iterable(map(block_rows, range(1, n_apps + 1, _BLOCK)))
-    yield head + next(rows).removeprefix(",")
-    yield from rows
-    yield end
+    return _document(fmt, _TABLE_COLUMNS, meta, rows)
 
 
 def _write(pieces: Iterator[str], args: argparse.Namespace) -> None:
@@ -164,8 +156,14 @@ def _write(pieces: Iterator[str], args: argparse.Namespace) -> None:
             fh.write(text)
 
 
-def _emit(rows: Iterable[dict], meta: dict, args: argparse.Namespace) -> None:
-    _write(_json_pieces(rows, meta) if args.format == "json" else _csv_lines(rows), args)
+def _emit(rows: Sequence[dict], meta: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
+        items = json.JSONEncoder(allow_nan=False, separators=(_ITEM_SEP, ": ")).encode
+        cells = ([items(row)[1:-1]] for row in rows)
+    else:
+        cells = (map(_fmt, row.values()) for row in rows)
+    pieces = (_row(args.format, c) for c in cells)
+    _write(_document(args.format, rows[0] if rows else (), meta, pieces), args)
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:

@@ -83,8 +83,8 @@ _ESTIMATE_MIN_N = 1000
 # (the roundings of each 1.0/k and of the total), so a comparison against 1
 # that clears this margin comes out the same in both.
 _THRESHOLD_MARGIN = 1e-12
-# The exact tail sum of the fallback runs over about 0.63 N terms, twice
-# (about 15 s at N = 1e9 on a 2-core host); above this size
+# The exact tail sum of the fallback runs once over about 0.63 N terms
+# (about 7 s at N = 1e9 on a 2-core host); above this size
 # compute_threshold refuses instead of running it.
 _LOOP_MAX_N = 10**9
 # A harmonic tail of at most this many terms is summed by math.fsum, which
@@ -125,10 +125,11 @@ def compute_threshold(n_applicants: int) -> int:
       nears it) it is not.
     - An estimate that does not clear the margin: n is stepped the same way
       on the tail sums of the doubles 1.0/k, each correctly rounded once
-      (_reciprocal_sum, which the closed form also uses), so only a sum
-      within about 3e-16 of 1 could come out on the wrong side.  That
-      costs about 0.63 N terms per sum and runs only up to N = 1e9: above
-      it, an undecided estimate raises ValueError instead.
+      (the exact integer total of _reciprocal_total, which the closed form
+      also uses), so only a sum within about 3e-16 of 1 could come out on
+      the wrong side.  The total is summed once, over about 0.63 N terms,
+      and each step adds or removes one exact term; this runs only up to
+      N = 1e9: above it, an undecided estimate raises ValueError instead.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
     if n_applicants < _ESTIMATE_MIN_N:
@@ -154,10 +155,17 @@ def compute_threshold(n_applicants: int) -> int:
         )
     # the last term 1/(N-1) alone is at most 1, so n stops by N - 1
     n = min(n, n_applicants - 1)
-    while _reciprocal_sum(n, n_applicants) > 1.0:
+    total, unit = _reciprocal_total(n, n_applicants)
+
+    def term(k: int) -> int:  # the double 1.0/k in units, exactly
+        return int(math.ldexp(1.0 / k, -unit))
+
+    while _round_total(total, unit) > 1.0:
+        total -= term(n)
         n += 1
-    while n > 1 and _reciprocal_sum(n - 1, n_applicants) <= 1.0:
+    while n > 1 and _round_total(total + term(n - 1), unit) <= 1.0:
         n -= 1
+        total += term(n)
     return n
 
 
@@ -338,18 +346,21 @@ def record_survival_product(n: int, cost: float) -> float:
     return product
 
 
-def _reciprocal_sum(lo: int, hi: int) -> float:
-    """sum_{k=lo}^{hi-1} of the doubles 1.0/k, correctly rounded: the bits
-    of math.fsum over the same terms, for 1 <= lo < hi.
+def _reciprocal_total(lo: int, hi: int) -> tuple[int, int]:
+    """sum_{k=lo}^{hi-1} of the doubles 1.0/k exactly, for 1 <= lo < hi:
+    returns (total, unit) with the sum equal to total * 2**unit, where
+    2**unit is the spacing of the doubles at the last term 1.0/(hi-1), so
+    any 1.0/k with k < hi is a whole number of units.
 
     Each term is m * 2^(e-1075) for its 53-bit mantissa m and biased
     exponent e.  Per block of at most _BLOCK terms, the mantissas of each run
     of equal exponent (1.0/k falls, so runs are contiguous) are summed
     exactly in int64 as 27- and 26-bit halves, each sum below
     2^27 * _BLOCK = 2^41.  The run sums are shifted into one Python int over
-    the smallest exponent, which float() rounds correctly once.
+    the smallest exponent.
     """
-    e_min = math.frexp(1.0 / (hi - 1))[1] + 1022  # biased exponent of the last term
+    unit = math.frexp(1.0 / (hi - 1))[1] - 53
+    e_min = unit + 1075  # biased exponent of the last term
     total = 0
     for start in range(lo, hi, _BLOCK):
         bits = (1.0 / np.arange(start, min(start + _BLOCK, hi), dtype=np.float64)).view(np.int64)
@@ -361,7 +372,18 @@ def _reciprocal_sum(lo: int, hi: int) -> float:
         low = np.add.reduceat(bits & ((1 << 26) - 1), runs).tolist()
         for e, h, l in zip(exps[runs].tolist(), high, low):
             total += ((h << 26) + l) << (e - e_min)
-    return math.ldexp(float(total), e_min - 1075)
+    return total, unit
+
+
+def _round_total(total: int, unit: int) -> float:
+    """total * 2**unit, correctly rounded once (by float())."""
+    return math.ldexp(float(total), unit)
+
+
+def _reciprocal_sum(lo: int, hi: int) -> float:
+    """sum_{k=lo}^{hi-1} of the doubles 1.0/k, correctly rounded: the bits
+    of math.fsum over the same terms, for 1 <= lo < hi."""
+    return _round_total(*_reciprocal_total(lo, hi))
 
 
 def _acceptance_mass(config: GameConfig) -> float:

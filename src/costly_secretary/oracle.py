@@ -197,7 +197,8 @@ class ScanReport:
     """Outcome of an exhaustive policy-space scan.
 
     ``maximizers`` holds the first ``_MAX_KEPT`` of the ``n_maximizers``
-    policies that tie for the maximum.
+    policies that tie for the maximum.  The solved policy is always among
+    the ties: the scan raises instead of returning a report where it is not.
     """
 
     config: GameConfig
@@ -208,7 +209,6 @@ class ScanReport:
     maximizers: tuple[PolicySpec, ...]
     equilibrium_success: float
     dp_success: float
-    equilibrium_attains_max: bool
 
 
 def _fold_maximum(
@@ -291,13 +291,12 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     dp_success = solve_values(config, tables=False).success_probability
     eq_policy = PolicySpec.equilibrium(config)
     eq_success = policy_success_probability(config, eq_policy)
-    attains = eq_success >= best - 1e-12
     if best > dp_success + 1e-12:
         raise VerificationError(
             f"scan found a policy with success {best!r} above the solved "
             f"value {dp_success!r}"
         )
-    if not attains:
+    if eq_success < best - 1e-12:
         raise VerificationError(
             f"solved policy (success {eq_success!r}) misses the scan "
             f"maximum {best!r}"
@@ -319,7 +318,6 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
         maximizers=maximizers,
         equilibrium_success=eq_success,
         dp_success=dp_success,
-        equilibrium_attains_max=attains,
     )
 
 

@@ -96,9 +96,11 @@ class StrategyProfile:
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
         """The solved full-learning profile: accept a current best with
-        probability cost before the threshold stage and outright after."""
-        rules = tuple(StageRule(True, q) for q in equilibrium_accept_probs(config))
-        return cls(cost=config.cost, stages=rules)
+        probability cost before the threshold stage and outright after.
+        The stages share one frozen rule per distinct probability."""
+        probs = equilibrium_accept_probs(config)
+        rules = {q: StageRule(True, q) for q in set(probs)}
+        return cls(cost=config.cost, stages=tuple(map(rules.__getitem__, probs)))
 
     @classmethod
     def no_learning(

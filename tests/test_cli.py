@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
-from costly_secretary import cli, equilibrium
+from costly_secretary import cli, equilibrium, oracle
 from costly_secretary.cli import main
 
 
@@ -237,6 +239,29 @@ class TestOracleCommand:
         assert out == ""
         assert err == message
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_scan_keeps_the_other_rows(self, capsys, monkeypatch, fmt):
+        # the scan's own solved value reads 1e-6 low, so a scanned policy
+        # beats it; the rows of the command's own solve still pass
+        solve = oracle.solve_values
+
+        def low(config, **kwargs):
+            tables = solve(config, **kwargs)
+            return dataclasses.replace(
+                tables, success_probability=tables.success_probability - 1e-6
+            )
+
+        monkeypatch.setattr(oracle, "solve_values", low)
+        argv = ["oracle", "--n", "4", "--cost", "0.25", "--grid-step", "0.25", "--format", fmt]
+        code, out, err = capture(capsys, argv)
+        assert code == 3
+        assert err.startswith("optimality scan failed: scan found a policy with success ")
+        assert "above the solved value" in err and "verification failed" not in err
+        monkeypatch.undo()
+        _, want, _ = capture(capsys, argv[:4] + argv[6:])
+        assert out == want
+        assert "scan_max_vs_dp" not in out and out.count("\"ok\"" if fmt == "json" else ",ok") == 5
+
     def test_expected_tau_row_is_checked_against_the_dp(self, capsys, monkeypatch):
         # against N times the closed form, the same mass over N, it cannot fail
         mass = equilibrium._acceptance_mass
@@ -319,6 +344,38 @@ _COMMANDS = [
 ]
 _COMMAND_IDS = ["solve", "tables", "sweep", "asymptotics", "asymptotics-fail", "simulate",
                 "oracle"]
+
+
+def _emitted(capsys, rows, meta, fmt):
+    """What the dict-row writer prints for ``rows``."""
+    cli._emit(rows, meta, argparse.Namespace(format=fmt, out=None))
+    return capsys.readouterr().out
+
+
+class TestOutputFrame:
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+    def test_json_is_one_indent_2_document(self, capsys, argv):
+        _, out, _ = capture(capsys, argv + ["--format", "json"])
+        assert out == json.dumps(json.loads(out), indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("argv", _COMMANDS, ids=_COMMAND_IDS)
+    def test_csv_holds_the_json_rows(self, capsys, argv):
+        code, out, err = capture(capsys, argv + ["--format", "json"])
+        rows = json.loads(out)["rows"]
+        csv_code, csv_out, csv_err = capture(capsys, argv)
+        assert (csv_code, csv_err) == (code, err)
+        header, *lines = csv_out.splitlines()
+        assert header.split(",") == list(rows[0])
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            cells = line.split(",")
+            assert len(cells) == len(row)
+            for cell, value in zip(cells, row.values()):
+                assert cell == "" if value is None else type(value)(cell) == value
+
+    def test_csv_row_keeps_a_leading_empty_cell(self, capsys):
+        rows = [{"a": None, "b": 1.5}, {"a": None, "b": "x"}]
+        assert _emitted(capsys, rows, {}, "csv") == "a,b\n,1.5\n,x\n"
 
 
 class TestFileOutput:
@@ -411,10 +468,10 @@ class TestStreamedTables:
         ],
         ids=["empty", "one", "strings"],
     )
-    def test_json_rows_stream_as_one_document(self, rows):
+    def test_json_rows_stream_as_one_document(self, capsys, rows):
         meta = {"tool": "costly-secretary", "note": "a, b: c"}
         want = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
-        assert "".join(cli._json_pieces(iter(rows), meta)) == want
+        assert _emitted(capsys, rows, meta, "json") == want
 
     @staticmethod
     def _crafted_tables(bad=None):
@@ -427,7 +484,7 @@ class TestStreamedTables:
         return ValueTables(GameConfig(10, 0.3), v0, v1, threshold=6, success_probability=0.2)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_table_rows_equal_the_dict_writers(self, monkeypatch, fmt):
+    def test_table_rows_equal_the_dict_writers(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(cli, "_BLOCK", 4)
         tables = self._crafted_tables()
         rows = [
@@ -436,8 +493,8 @@ class TestStreamedTables:
             for n in range(1, 11)
         ]
         meta = {"tool": "costly-secretary"}
-        want = cli._json_pieces(rows, meta) if fmt == "json" else cli._csv_lines(rows)
-        assert "".join(cli._table_pieces(tables, fmt, meta)) == "".join(want)
+        want = _emitted(capsys, rows, meta, fmt)
+        assert "".join(cli._table_pieces(tables, fmt, meta)) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_table_rejects_non_finite_values(self, bad):
@@ -446,9 +503,9 @@ class TestStreamedTables:
             "".join(cli._table_pieces(tables, "json", {"tool": "costly-secretary"}))
         assert "".join(cli._table_pieces(tables, "csv", {})).count(format(bad, ".17g")) == 1
 
-    def test_json_rejects_nan_rows(self):
+    def test_json_rejects_nan_rows(self, capsys):
         with pytest.raises(ValueError):
-            "".join(cli._json_pieces([{"x": math.nan}], {"tool": "costly-secretary"}))
+            _emitted(capsys, [{"x": math.nan}], {"tool": "costly-secretary"}, "json")
 
 
 class TestTableFreeSolves:

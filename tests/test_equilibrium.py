@@ -115,17 +115,18 @@ class TestComputeThreshold:
 
     def test_undecided_estimate_settles_with_the_exact_tail_sum(self, monkeypatch):
         # at this size the estimated tail sums do not clear the margin, so the
-        # exact sums decide; a spy records that they ran
-        reciprocal_sum = equilibrium._reciprocal_sum
+        # exact sums decide; a spy records that one exact total was summed,
+        # and the steps from it add or remove single terms
+        reciprocal_total = equilibrium._reciprocal_total
         calls = []
 
         def spy(lo, hi):
             calls.append((lo, hi))
-            return reciprocal_sum(lo, hi)
+            return reciprocal_total(lo, hi)
 
-        monkeypatch.setattr(equilibrium, "_reciprocal_sum", spy)
+        monkeypatch.setattr(equilibrium, "_reciprocal_total", spy)
         assert compute_threshold(15_872_517) == 5_839_174
-        assert calls
+        assert len(calls) == 1
 
     def test_undecided_estimate_above_a_billion_fails_fast(self):
         # at 1e12 the estimated tail sums sit within the margin of 1, and the

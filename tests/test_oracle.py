@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import sys
@@ -11,6 +12,7 @@ from costly_secretary import (
     PolicySpec,
     StageRule,
     StrategyProfile,
+    VerificationError,
     closed_form_success,
     estimate,
     exact_expected_tau,
@@ -140,12 +142,23 @@ class TestPolicyEvaluator:
         assert value < 5 / 12 - 1e-9
 
 
+def _read_low(fn):
+    """``fn`` with its success probability read 1e-6 low."""
+
+    def low(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if hasattr(value, "success_probability"):
+            return dataclasses.replace(value, success_probability=value.success_probability - 1e-6)
+        return value - 1e-6
+
+    return low
+
+
 class TestOptimalityScan:
     def test_three_half_quarter_grid(self):
         cfg = GameConfig(3, 0.5)
         report = optimality_scan(cfg, grid_step=0.25)
         assert report.max_success == pytest.approx(5 / 12, abs=1e-12)
-        assert report.equilibrium_attains_max
         found = {(p.learning, p.accept_probs) for p in report.maximizers}
         assert ((True, True, True), (0.5, 1.0, 1.0)) in found
         # blindly accepting the last applicant only ever fires on non-records,
@@ -158,7 +171,6 @@ class TestOptimalityScan:
     def test_two_applicants_argmax_not_unique(self):
         report = optimality_scan(GameConfig(2, 0.3), grid_step=0.1)
         assert report.max_success == pytest.approx(0.5, abs=1e-12)
-        assert report.equilibrium_attains_max
         assert report.n_maximizers > 1
         probs = {(p.learning, p.accept_probs) for p in report.maximizers}
         # blind-accepting applicant 1 outright ties the solved policy
@@ -169,7 +181,18 @@ class TestOptimalityScan:
         report = optimality_scan(cfg, grid_step=0.25)
         dp = solve_values(cfg).success_probability
         assert report.max_success <= dp + 1e-12
-        assert report.equilibrium_attains_max
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("solve_values", "above the solved value"),
+         ("policy_success_probability", "misses the scan maximum")],
+    )
+    def test_scan_raises_on_a_value_read_low(self, monkeypatch, name, message):
+        # the solved value or the solved policy's success read 1e-6 low: the
+        # scan maximum then beats the one, or is missed by the other
+        monkeypatch.setattr(oracle, name, _read_low(getattr(oracle, name)))
+        with pytest.raises(VerificationError, match=message):
+            optimality_scan(GameConfig(4, 0.25), grid_step=0.25)
 
     def test_budget_and_validation(self):
         with pytest.raises(ValueError):

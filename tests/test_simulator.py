@@ -53,6 +53,17 @@ class TestProfiles:
             assert rule.learning
             assert rule.accept_prob == accept[n - 1]
 
+    @pytest.mark.parametrize("n_apps, cost", [(2, 0.0), (10, 0.1), (1000, 0.4), (1000, 0.999)])
+    def test_equilibrium_shares_one_rule_per_probability(self, n_apps, cost):
+        cfg = GameConfig(n_apps, cost)
+        profile = StrategyProfile.equilibrium(cfg)
+        per_stage = StrategyProfile(
+            cost=cost, stages=tuple(StageRule(True, q) for q in equilibrium_accept_probs(cfg))
+        )
+        assert len({id(rule) for rule in profile.stages}) <= 2
+        assert profile.stages == per_stage.stages
+        assert profile.plan(cfg) == per_stage.plan(cfg)
+
     def test_admin_acceptance_mapping(self):
         cfg = GameConfig(4, 0.3)
         profile = StrategyProfile.equilibrium(cfg)
