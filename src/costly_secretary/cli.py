@@ -33,14 +33,8 @@ from .equilibrium import (
     expected_stopping_time,
     solve_values,
 )
-from .oracle import (
-    VerificationError,
-    exact_expected_tau,
-    exact_success_probability,
-    full_learning_audit,
-    optimality_scan,
-)
-from .simulator import PolicySpec, StrategyProfile, estimate
+from .oracle import VerificationError, exact_evaluation, optimality_scan
+from .simulator import StrategyProfile, estimate
 
 __all__ = ["run", "main"]
 
@@ -290,10 +284,10 @@ def _run_oracle(args: argparse.Namespace) -> int:
     dp = solve_values(config, tables=False).success_probability
     closed = closed_form_success(config)
     tau_closed = expected_stopping_time(config)
-    policy = PolicySpec.equilibrium(config)
-    enum_pi = float(exact_success_probability(config, policy))
-    enum_tau = float(exact_expected_tau(config, policy))
-    audit_ok = full_learning_audit(config)
+    exact = exact_evaluation(config, StrategyProfile.equilibrium(config))
+    enum_pi = float(exact.success)
+    enum_tau = float(exact.expected_tau)
+    audit_ok = exact.counterexample is None
 
     def check(name, a, b, tol=tolerance):
         diff = abs(a - b)

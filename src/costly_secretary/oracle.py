@@ -7,12 +7,13 @@ orders and propagating acceptance probabilities analytically along each
 order, in exact arithmetic.  The enumeration is a depth-first walk over
 order prefixes that carries integer numerators over the common
 denominator of the acceptance probabilities and weights each stage by the
-orders that complete its prefix.  The same walk, run on a profile's float
-stage plan, audits the full-learning property on every reachable prefix.
-On top of that sit a fast stage recursion, vectorized over policies
-(cross-checked against the enumeration), and an exhaustive policy-space
-scan that evaluates the gridded policies in blocks and looks for anything
-beating the solved policy."""
+orders that complete its prefix.  ``exact_evaluation`` runs that walk once
+per plan and reads from it the success probability, the expected stopping
+index and the full-learning audit of every reachable prefix.  On top of
+that sit a fast stage recursion, vectorized over policies (cross-checked
+against the enumeration), and an exhaustive policy-space scan that
+evaluates the gridded policies in blocks and looks for anything beating
+the solved policy."""
 
 from __future__ import annotations
 
@@ -24,18 +25,17 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .equilibrium import _BLOCK, GameConfig, _as_count, equilibrium_accept_probs, solve_values
+from .equilibrium import _BLOCK, GameConfig, _as_count, solve_values
 from .simulator import PolicySpec, StrategyProfile
 
 __all__ = [
     "VerificationError",
     "ScanReport",
+    "ExactEvaluation",
+    "exact_evaluation",
     "exact_success_probability",
-    "exact_expected_tau",
     "policy_success_probability",
     "optimality_scan",
-    "full_learning_audit",
-    "full_learning_counterexample",
     "exact_state_value",
 ]
 
@@ -138,27 +138,44 @@ def _exact_walk(
     return Fraction(success, total), Fraction(tau_mass, total), count, first
 
 
+@dataclass(frozen=True)
+class ExactEvaluation:
+    """One plan's exact evaluation over all N! arrival orders.
+
+    ``success`` is the probability of hiring the overall best and
+    ``expected_tau`` the expected stopping index (zero when nobody is
+    accepted).  For the solved plan expected_tau equals N times success in
+    exact arithmetic, because a record accepted at stage n is the overall
+    best with probability exactly n/N.  ``counterexample`` is the first
+    (rank order, stage) of a reachable prefix on which the running maximum
+    of outputs differs from the running maximum of abilities, which is
+    where a stage that reveals nothing holds a new best; None when the plan
+    keeps full learning.  Prefixes behind a certain acceptance are
+    unreachable and are not checked.
+    """
+
+    success: Fraction
+    expected_tau: Fraction
+    counterexample: Optional[tuple[tuple[int, ...], int]]
+
+
+def exact_evaluation(config: GameConfig, plan: PolicySpec | StrategyProfile) -> ExactEvaluation:
+    """Evaluate a policy or profile exactly, by one walk over all N!
+    arrival orders from stage 1."""
+    success, tau_mass, count, first = _exact_walk(*plan.plan(config))
+    return ExactEvaluation(success / count, tau_mass / count, first)
+
+
 def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fraction:
-    """Probability of hiring the overall best, by exhaustive enumeration.
+    """Probability of hiring the overall best, by exhaustive enumeration:
+    the ``success`` of ``exact_evaluation``.
 
     Exact rational result; convert with float() as needed.
     """
-    success, _, count, _ = _exact_walk(*policy.plan(config))
-    return success / count
+    return exact_evaluation(config, policy).success
 
 
-def exact_expected_tau(config: GameConfig, policy: PolicySpec) -> Fraction:
-    """Expected stopping index (zero when nobody is accepted), exactly.
-
-    For the solved policy this equals N times exact_success_probability in
-    exact arithmetic, because a record accepted at stage n is the overall
-    best with probability exactly n/N.
-    """
-    _, tau_mass, count, _ = _exact_walk(*policy.plan(config))
-    return tau_mass / count
-
-
-def policy_success_probability(config: GameConfig, policy: PolicySpec) -> float:
+def policy_success_probability(config: GameConfig, policy: PolicySpec | StrategyProfile) -> float:
     """Success probability of a policy by an O(N) stage recursion.
 
     Within the completing subsequence of stages, the j-th completed
@@ -289,8 +306,7 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
         best, n_max = _fold_maximum(total, lo, best, n_max, kept)
 
     dp_success = solve_values(config, tables=False).success_probability
-    eq_policy = PolicySpec.equilibrium(config)
-    eq_success = policy_success_probability(config, eq_policy)
+    eq_success = policy_success_probability(config, StrategyProfile.equilibrium(config))
     if best > dp_success + 1e-12:
         raise VerificationError(
             f"scan found a policy with success {best!r} above the solved "
@@ -321,38 +337,16 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     )
 
 
-def full_learning_counterexample(
-    config: GameConfig, profile: Optional[StrategyProfile] = None
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """Search every arrival order for a reachable prefix where the running
-    maximum of outputs differs from the running maximum of abilities.
-
-    Returns (rank order, stage) for the first violating prefix, or None.
-    The prefix breaks exactly where a stage that reveals nothing holds a new
-    best.  Prefixes behind a certain acceptance (probability one) are
-    unreachable and are not checked.
-    """
-    if profile is None:
-        profile = StrategyProfile.equilibrium(config)
-    return _exact_walk(*profile.plan(config))[3]
-
-
-def full_learning_audit(
-    config: GameConfig, profile: Optional[StrategyProfile] = None
-) -> bool:
-    """True when every reachable prefix of every arrival order keeps the
-    output maximum equal to the ability maximum."""
-    return full_learning_counterexample(config, profile) is None
-
-
 def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
     """Continuation value of the solved policy by exhaustive enumeration.
 
     ``state`` 1 means the stage's applicant is the best interviewed so far,
-    0 means dominated.  Averages the success probability of equilibrium play
-    from that point over all arrival orders consistent with the state.
-    Stage 1 in state 0 never occurs; it is defined, as in the backward
-    recursion, as the average of the two stage-2 values.
+    0 means dominated.  Averages the success probability of the solved plan,
+    ``StrategyProfile.equilibrium``, from that point over all arrival orders
+    consistent with the state: the walk of ``exact_evaluation``, started at
+    the stage instead of stage 1.  Stage 1 in state 0 never occurs; it is
+    defined, as in the backward recursion, as the average of the two
+    stage-2 values.
     """
     n_apps = config.n_applicants
     stage = _as_count(stage, 1, "stage")
@@ -364,6 +358,6 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
         return (
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
-    plan = PolicySpec.equilibrium(config).plan(config)
+    plan = StrategyProfile.equilibrium(config).plan(config)
     success, _, count, _ = _exact_walk(*plan, stage, state)
     return success / count

@@ -153,11 +153,6 @@ class PolicySpec:
         object.__setattr__(self, "learning", flags)
 
     @classmethod
-    def equilibrium(cls, config: GameConfig) -> "PolicySpec":
-        probs = tuple(equilibrium_accept_probs(config))
-        return cls(accept_probs=probs, learning=(True,) * config.n_applicants)
-
-    @classmethod
     def from_acceptance_masses(cls, masses: Sequence[float | Fraction]) -> "PolicySpec":
         """Blind policy from unconditional acceptance masses.
 

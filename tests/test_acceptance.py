@@ -20,9 +20,9 @@ from costly_secretary import (
     convergence_report,
     equilibrium_accept_probs,
     estimate,
+    exact_evaluation,
     exact_success_probability,
     expected_stopping_time,
-    full_learning_audit,
     limit_constant,
     optimality_scan,
     record_survival_product,
@@ -57,7 +57,7 @@ def test_criterion_03_three_way_agreement():
             cfg = GameConfig(n_apps, cost)
             dp = solve_values(cfg).success_probability
             closed = closed_form_success(cfg)
-            enum = float(exact_success_probability(cfg, PolicySpec.equilibrium(cfg)))
+            enum = float(exact_evaluation(cfg, StrategyProfile.equilibrium(cfg)).success)
             worst_closed = max(worst_closed, abs(dp - closed))
             worst_enum = max(worst_enum, abs(dp - enum))
     ok = worst_closed <= 1e-12 and worst_enum <= 1e-12
@@ -222,7 +222,9 @@ def test_criterion_11_full_learning_audit():
     ok = True
     for n_apps in range(2, 9):
         for cost in COST_GRID:
-            ok = ok and full_learning_audit(GameConfig(n_apps, cost))
+            cfg = GameConfig(n_apps, cost)
+            exact = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
+            ok = ok and exact.counterexample is None
     report(
         11,
         "output maxima track ability maxima on every reachable prefix",

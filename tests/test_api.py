@@ -12,6 +12,7 @@ PUBLIC = [
     "__version__",
     "AggregateStats",
     "AsymptoticReport",
+    "ExactEvaluation",
     "GameConfig",
     "PolicySpec",
     "ScanReport",
@@ -25,12 +26,10 @@ PUBLIC = [
     "convergence_report",
     "equilibrium_accept_probs",
     "estimate",
-    "exact_expected_tau",
+    "exact_evaluation",
     "exact_state_value",
     "exact_success_probability",
     "expected_stopping_time",
-    "full_learning_audit",
-    "full_learning_counterexample",
     "limit_constant",
     "optimality_scan",
     "policy_success_probability",
@@ -72,3 +71,24 @@ def test_no_module_imports_private_names_of_simulator_or_oracle():
                 if node.module.rsplit(".", 1)[-1] in ("simulator", "oracle"):
                     private = [a.name for a in node.names if a.name.startswith("_")]
                     assert not private, (path.name, node.module, private)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # every name an import binds is read somewhere in its module; star
+    # imports and the package's re-exports in __init__.py are exempt
+    for path in sorted(Path(costly_secretary.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names if a.name != "*")
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert bound <= read, (path.name, sorted(bound - read))

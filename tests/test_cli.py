@@ -189,6 +189,23 @@ class TestOracleCommand:
         checks = [line.split(",")[0] for line in lines[1:]]
         assert "scan_max_vs_dp" in checks
 
+    @pytest.mark.parametrize("scan", [[], ["--grid-step", "0.25"]])
+    def test_one_walk_over_the_orders(self, capsys, monkeypatch, scan):
+        # one exact evaluation gives the success, stopping-index and audit
+        # rows, so the command walks the N! orders once
+        argv = ["oracle", "--n", "5", "--cost", "0.4", *scan]
+        plain = capture(capsys, argv)
+        walk = oracle._exact_walk
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_exact_walk", spy)
+        assert capture(capsys, argv) == plain
+        assert len(calls) == 1
+
     def test_zero_tolerance_forces_verification_failure(self, capsys):
         # DP and closed form differ by a few ulps; tolerance 0 must trip
         code, out, err = capture(
@@ -233,7 +250,7 @@ class TestOracleCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("enumerated before checking the scan grid")
 
-        monkeypatch.setattr(cli, "exact_success_probability", forbidden)
+        monkeypatch.setattr(cli, "exact_evaluation", forbidden)
         code, out, err = capture(capsys, ["oracle", "--cost", "0.1", *argv])
         assert code == 2
         assert out == ""

@@ -14,12 +14,11 @@ from costly_secretary import (
     StrategyProfile,
     VerificationError,
     closed_form_success,
+    equilibrium_accept_probs,
     estimate,
-    exact_expected_tau,
+    exact_evaluation,
     exact_state_value,
     exact_success_probability,
-    full_learning_audit,
-    full_learning_counterexample,
     optimality_scan,
     policy_success_probability,
     solve_values,
@@ -33,12 +32,12 @@ COST_GRID = [k / 10 for k in range(10)]
 class TestExactSuccessProbability:
     def test_equilibrium_three_half(self):
         cfg = GameConfig(3, 0.5)
-        pi = exact_success_probability(cfg, PolicySpec.equilibrium(cfg))
+        pi = exact_success_probability(cfg, StrategyProfile.equilibrium(cfg))
         assert pi == Fraction(5, 12)
 
     def test_equilibrium_two_free(self):
         cfg = GameConfig(2, 0.0)
-        pi = exact_success_probability(cfg, PolicySpec.equilibrium(cfg))
+        pi = exact_success_probability(cfg, StrategyProfile.equilibrium(cfg))
         assert pi == Fraction(1, 2)
 
     def test_uniform_masses(self):
@@ -62,14 +61,14 @@ class TestExactSuccessProbability:
             for n_apps in range(2, 7):
                 cfg = GameConfig(n_apps, cost)
                 dp = solve_values(cfg).success_probability
-                enum = float(exact_success_probability(cfg, PolicySpec.equilibrium(cfg)))
+                enum = float(exact_success_probability(cfg, StrategyProfile.equilibrium(cfg)))
                 assert abs(enum - dp) <= 1e-12
                 assert abs(closed_form_success(cfg) - dp) <= 1e-12
 
     def test_rejects_large_instances(self):
         cfg = GameConfig(11, 0.0)
         with pytest.raises(ValueError):
-            exact_success_probability(cfg, PolicySpec.equilibrium(cfg))
+            exact_success_probability(cfg, StrategyProfile.equilibrium(cfg))
 
     def test_rejects_underfunded_learning_stage(self):
         cfg = GameConfig(3, 0.5)
@@ -81,22 +80,20 @@ class TestExactSuccessProbability:
 class TestExactExpectedTau:
     def test_three_half(self):
         cfg = GameConfig(3, 0.5)
-        tau = exact_expected_tau(cfg, PolicySpec.equilibrium(cfg))
+        tau = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg)).expected_tau
         assert tau == Fraction(5, 4)
 
     def test_two_free(self):
         cfg = GameConfig(2, 0.0)
-        assert exact_expected_tau(cfg, PolicySpec.equilibrium(cfg)) == 1
+        assert exact_evaluation(cfg, StrategyProfile.equilibrium(cfg)).expected_tau == 1
 
     def test_identity_with_success(self):
         # a record accepted at stage n is best with probability exactly n/N,
         # so the stopping mass is N times the success mass, rationally
         for n_apps, cost in [(4, 0.3), (5, 0.8), (6, 0.0), (7, 0.45)]:
             cfg = GameConfig(n_apps, cost)
-            policy = PolicySpec.equilibrium(cfg)
-            assert exact_expected_tau(cfg, policy) == n_apps * exact_success_probability(
-                cfg, policy
-            )
+            exact = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
+            assert exact.expected_tau == n_apps * exact.success
 
 
 class TestPolicyEvaluator:
@@ -270,8 +267,9 @@ class TestPrefixWalk:
             policy = random_policy(rand, n_apps, cfg.cost)
             reveals, probs = policy.plan(cfg)
             success, tau_mass, count, _ = flat_walk(reveals, [Fraction(q) for q in probs])
-            assert exact_success_probability(cfg, policy) == success / count
-            assert exact_expected_tau(cfg, policy) == tau_mass / count
+            exact = exact_evaluation(cfg, policy)
+            assert exact.success == success / count
+            assert exact.expected_tau == tau_mass / count
 
     def test_every_state_value(self):
         rand = random.Random(77)
@@ -280,7 +278,7 @@ class TestPrefixWalk:
                 cfg = GameConfig(n_apps, cost)
                 plan = (
                     [True] * n_apps,
-                    [Fraction(q) for q in PolicySpec.equilibrium(cfg).accept_probs],
+                    [Fraction(q) for q in equilibrium_accept_probs(cfg)],
                 )
                 expected = {}
                 for stage in range(n_apps, 0, -1):
@@ -312,6 +310,15 @@ class TestPrefixWalk:
             assert _exact_walk(*float_plan, stage, state)[2:] == flat_walk(
                 *float_plan, stage, state
             )[2:]
+            # from stage 1, the public evaluation of the float profile and of
+            # its plan as a Fraction policy equals the per-order replay
+            success, tau_mass, count, first = flat_walk(*exact_plan)
+            fraction_policy = PolicySpec(tuple(exact_plan[1]), tuple(exact_plan[0]))
+            for plan in (profile, fraction_policy):
+                got = exact_evaluation(GameConfig(n_apps, cost), plan)
+                assert (got.success, got.expected_tau, got.counterexample) == (
+                    success / count, tau_mass / count, first
+                )
 
 
 def one_by_one(totals):
@@ -408,16 +415,15 @@ class TestScanAgainstProductLoop:
 
 class TestFullLearningAudit:
     def test_equilibrium_passes(self):
-        assert full_learning_audit(GameConfig(3, 0.5))
-        assert full_learning_audit(GameConfig(5, 0.0))
+        for cfg in (GameConfig(3, 0.5), GameConfig(5, 0.0)):
+            assert exact_evaluation(cfg, StrategyProfile.equilibrium(cfg)).counterexample is None
 
     def test_forced_decline_fails_with_counterexample(self):
         cfg = GameConfig(3, 0.5)
         rules = list(StrategyProfile.equilibrium(cfg).stages)
         rules[1] = StageRule(True, 1.0, force_decline=True)
         profile = StrategyProfile(0.5, tuple(rules))
-        assert not full_learning_audit(cfg, profile)
-        order, stage = full_learning_counterexample(cfg, profile)
+        order, stage = exact_evaluation(cfg, profile).counterexample
         # the prefix breaks exactly when applicant 2 should have revealed
         assert stage == 2
         assert order[1] > order[0]
@@ -432,11 +438,12 @@ class TestFullLearningAudit:
                 StageRule(True, 1.0),
             ),
         )
-        assert not full_learning_audit(cfg, profile)
+        assert exact_evaluation(cfg, profile).counterexample is not None
 
     def test_rejects_large_instances(self):
+        cfg = GameConfig(11, 0.1)
         with pytest.raises(ValueError):
-            full_learning_audit(GameConfig(11, 0.1))
+            exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
 
     @staticmethod
     def reference_counterexample(profile):
@@ -482,7 +489,8 @@ class TestFullLearningAudit:
                     rules.append(StageRule(False, q))
             profile = StrategyProfile(cost, tuple(rules))
             expected = self.reference_counterexample(profile)
-            assert full_learning_counterexample(GameConfig(n_apps, cost), profile) == expected
+            cfg = GameConfig(n_apps, cost)
+            assert exact_evaluation(cfg, profile).counterexample == expected
             outcomes.add(None if expected is None else expected[1])
         # both verdicts, and breaks at several stages, occur in the sample
         assert None in outcomes and len(outcomes) >= 4
@@ -569,10 +577,10 @@ def test_enumeration_and_monte_carlo_never_call_the_solver(monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, forbidden)
     cfg = GameConfig(5, 0.3)
-    policy = PolicySpec.equilibrium(cfg)
-    assert exact_success_probability(cfg, policy) > 0
-    assert exact_expected_tau(cfg, policy) > 0
-    assert exact_state_value(cfg, 2, 1) > 0
     profile = StrategyProfile.equilibrium(cfg)
-    assert full_learning_counterexample(cfg, profile) is None
+    exact = exact_evaluation(cfg, profile)
+    assert exact.success > 0
+    assert exact.expected_tau > 0
+    assert exact.counterexample is None
+    assert exact_state_value(cfg, 2, 1) > 0
     assert estimate(cfg, profile, 1000, 0).trials == 1000

@@ -13,8 +13,8 @@ from costly_secretary import (
     closed_form_success,
     equilibrium_accept_probs,
     estimate,
+    exact_evaluation,
     expected_stopping_time,
-    full_learning_counterexample,
     simulator,
 )
 
@@ -109,9 +109,11 @@ class TestProfiles:
             with pytest.raises(ValueError):
                 estimate(cfg, profile, 10, seed=0)
         # both plan types share the stage-count check and its message
-        for plan_type in (StrategyProfile, PolicySpec):
+        four = GameConfig(4, 0.2)
+        policy = PolicySpec(tuple(equilibrium_accept_probs(four)), (True,) * 4)
+        for plan in (StrategyProfile.equilibrium(four), policy):
             with pytest.raises(ValueError, match="plan has 4 stages, instance has 3 applicants"):
-                plan_type.equilibrium(GameConfig(4, 0.2)).plan(cfg)
+                plan.plan(cfg)
 
 
 class TestSampleAbilities:
@@ -206,7 +208,7 @@ class TestPlayGame:
                 assert theta[tau - 1] == theta[:tau].max()
             assert success == (tau > 0 and theta[tau - 1] == theta.max())
         # outputs track the running maximum of abilities on every prefix
-        assert full_learning_counterexample(cfg, profile) is None
+        assert exact_evaluation(cfg, profile).counterexample is None
 
     def test_two_applicants_no_cost(self):
         cfg = GameConfig(2, 0.0)
@@ -308,7 +310,8 @@ class TestIncentiveAudit:
                 # every record acceptance covers the cost, so every stage reveals
                 profile = StrategyProfile.equilibrium(cfg)
                 assert profile.plan(cfg)[0] == [True] * n_apps
-                assert PolicySpec.equilibrium(cfg).plan(cfg)[0] == [True] * n_apps
+                policy = PolicySpec(tuple(equilibrium_accept_probs(cfg)), (True,) * n_apps)
+                assert policy.plan(cfg)[0] == [True] * n_apps
 
     def test_underpaying_record_stage_flagged(self):
         cfg = GameConfig(4, 0.4)
@@ -338,7 +341,7 @@ class TestIncentiveAudit:
         # stage 2 reveals nothing although completing pays, so a new best
         # there breaks the full-learning prefix
         assert profile.plan(cfg)[0] == [True, False, True]
-        assert full_learning_counterexample(cfg, profile) == ((1, 2, 3), 2)
+        assert exact_evaluation(cfg, profile).counterexample == ((1, 2, 3), 2)
 
 
 @settings(max_examples=200, deadline=None)
