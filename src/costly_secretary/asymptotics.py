@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .equilibrium import (
+    _LOCKSTEP_MIN_LANES,
     GameConfig,
     _as_count,
     _check_cost,
+    _solve_sizes,
     solve_values,
 )
 
@@ -85,6 +87,10 @@ def convergence_report(
 ) -> AsymptoticReport:
     """Solve each instance size and report scaled values and thresholds.
 
+    A ladder shorter than the lockstep lane count of the multi-size solver
+    has nothing to share and is solved one size at a time; a longer one is
+    solved by that solver, with the same bits as one solve_values call each.
+
     ``n_list`` must be non-empty and strictly ascending with every entry at
     least 2, and ``tolerance`` must be positive and finite.  The default 5%
     tolerance is an empirical acceptance threshold, not a proved rate.
@@ -99,11 +105,16 @@ def convergence_report(
         raise ValueError("tolerance must be finite")
     samples = []
     thresholds = []
-    for n_apps in sizes:
-        tables = solve_values(GameConfig(n_apps, cost), tables=False)
-        samples.append((n_apps, n_apps**cost * tables.success_probability))
+    configs = [GameConfig(n, cost) for n in sizes]
+    if len(configs) < _LOCKSTEP_MIN_LANES:
+        tables = [solve_values(config, tables=False) for config in configs]
+        solved = [(t.threshold, t.success_probability, None) for t in tables]
+    else:
+        solved = _solve_sizes(configs, stopping_times=False)
+    for n_apps, (n_star, pi, _) in zip(sizes, solved):
+        samples.append((n_apps, n_apps**cost * pi))
         lower, upper = threshold_bounds(n_apps)
-        thresholds.append((n_apps, tables.threshold, lower, upper))
+        thresholds.append((n_apps, n_star, lower, upper))
     note = (
         f"tolerance {tolerance:g} is an empirical acceptance threshold; "
         "the limit theory provides no convergence rate"

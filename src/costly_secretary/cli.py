@@ -29,6 +29,7 @@ from .equilibrium import (
     _BLOCK,
     GameConfig,
     ValueTables,
+    _solve_sizes,
     closed_form_success,
     expected_stopping_time,
     solve_values,
@@ -189,24 +190,20 @@ def _run_solve(args: argparse.Namespace) -> int:
 def _run_sweep(args: argparse.Namespace) -> int:
     n_range = _parse_n_range(args.n_range, args.log_spaced)
     cost_list = _parse_cost_list(args.cost_list)
-    rows = []
-    for cost in cost_list:
-        asymptote_scale = limit_constant(cost)
-        for n_apps in n_range:
-            config = GameConfig(n_apps, cost)
-            tables = solve_values(config, tables=False)
-            pi = tables.success_probability
-            rows.append(
-                {
-                    "n": n_apps,
-                    "cost": config.cost,
-                    "n_star": tables.threshold,
-                    "pi": pi,
-                    "scaled_pi": n_apps**cost * pi,
-                    "asymptote": asymptote_scale * n_apps ** (-cost),
-                    "expected_tau": expected_stopping_time(config),
-                }
-            )
+    configs = [GameConfig(n_apps, cost) for cost in cost_list for n_apps in n_range]
+    scales = {cost: limit_constant(cost) for cost in cost_list}
+    rows = [
+        {
+            "n": config.n_applicants,
+            "cost": config.cost,
+            "n_star": n_star,
+            "pi": pi,
+            "scaled_pi": config.n_applicants**config.cost * pi,
+            "asymptote": scales[config.cost] * config.n_applicants ** (-config.cost),
+            "expected_tau": tau,
+        }
+        for config, (n_star, pi, tau) in zip(configs, _solve_sizes(configs))
+    ]
     _emit(rows, _meta(args), args)
     return 0
 

@@ -12,10 +12,12 @@ and the expected length of search.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -91,6 +93,11 @@ _LOOP_MAX_N = 10**9
 # beats the numpy calls of _reciprocal_sum below about 700 terms (N ~ 1100);
 # both give the same bits.
 _FSUM_MAX_TERMS = 700
+# _solve_sizes solves fewer instances than this one at a time, and runs in
+# lockstep only the stages where at least this many are in their head stages:
+# one numpy step of five ufuncs takes about 6 us on a 2-core host, a scalar
+# head stage about 0.16 us per instance, so they break even near 36.
+_LOCKSTEP_MIN_LANES = 48
 
 
 def _harmonic_correction(m: int) -> float:
@@ -155,7 +162,7 @@ def compute_threshold(n_applicants: int) -> int:
         )
     # the last term 1/(N-1) alone is at most 1, so n stops by N - 1
     n = min(n, n_applicants - 1)
-    total, unit = _reciprocal_total(n, n_applicants)
+    (total,), unit = _reciprocal_total(n, n_applicants)
 
     def term(k: int) -> int:  # the double 1.0/k in units, exactly
         return int(math.ldexp(1.0 / k, -unit))
@@ -248,7 +255,10 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
     floor; that stage is found from the recursion's own floats, not from
     compute_threshold.  The remaining ~N/e head stages run one at a time in
     Python.  Every stage gets the same floating-point operations either way,
-    so the tables are the same bits as a plain stage loop's.
+    so the tables are the same bits as a plain stage loop's.  That recursion
+    is _descend, which here stops after stage 1; the multi-size solver
+    (_solve_sizes) stops it at its lockstep cut instead, to run each of the
+    largest instances alone down to there.
 
     With ``tables=False`` nothing of size N is allocated: the same recursion
     carries only the current v0 and v1 and one block, and the result has
@@ -257,10 +267,6 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
     memory raise MemoryError before any allocation.
     """
     n_apps = config.n_applicants
-    cost = config.cost
-    floor = 1.0 / n_apps
-    pay = cost / n_apps
-    keep = 1.0 - cost
     v0 = v1 = None
     if tables:
         _check_tables_fit(n_apps)
@@ -268,12 +274,35 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
         v1 = np.empty(n_apps + 1, dtype=np.float64)
         v0[0] = v1[0] = math.nan
         v0[n_apps] = 0.0
-        v1[n_apps] = floor
+        v1[n_apps] = 1.0 / n_apps
+    _, success = _descend(n_apps, config.cost, 0, v0, v1)
+    return ValueTables(
+        config=config,
+        v0=v0,
+        v1=v1,
+        threshold=compute_threshold(n_apps),
+        success_probability=success,
+    )
+
+
+def _descend(
+    n_apps: int,
+    cost: float,
+    stop: int,
+    v0: np.ndarray | None = None,
+    v1: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """solve_values's recursion from the stage-N boundary down to stage
+    stop + 1 (solve_values stops at 0): returns v0 and v1 there, and stores
+    each stage solved into the tables v0 and v1 when they are given."""
+    floor = 1.0 / n_apps
+    pay = cost / n_apps
+    keep = 1.0 - cost
     prev0 = 0.0
     prev1 = floor
     top = n_apps - 1  # the highest stage not yet solved
-    while top >= 1:
-        size = min(top, _BLOCK)
+    while top > stop:
+        size = min(top - stop, _BLOCK)
         # x[0] is the carried v0[top + 1]; x[k] becomes v0[top + 1 - k]
         x = np.empty(size + 1, dtype=np.float64)
         x[0] = prev0
@@ -281,7 +310,7 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
         np.add.accumulate(x, out=x)
         stops = pay + keep * x[1:] >= floor
         done = int(stops.argmax()) if stops.any() else size
-        if tables:
+        if v0 is not None:
             v0[top - done + 1 : top + 1] = x[done:0:-1]
             v1[top - done + 1 : top + 1] = floor
         prev0 = float(x[done])
@@ -289,10 +318,10 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
         if done < size:
             break
     # The head stages, one at a time: the same operations whether stored or not.
-    if tables:
+    if v0 is not None:
         out0 = memoryview(v0)
         out1 = memoryview(v1)
-        for n in range(top, 0, -1):
+        for n in range(top, stop, -1):
             prev0 = prev1 / n + prev0
             prev1 = pay + keep * prev0
             if prev1 < floor:
@@ -300,18 +329,12 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
             out0[n] = prev0
             out1[n] = prev1
     else:
-        for n in range(top, 0, -1):
+        for n in range(top, stop, -1):
             prev0 = prev1 / n + prev0
             prev1 = pay + keep * prev0
             if prev1 < floor:
                 prev1 = floor
-    return ValueTables(
-        config=config,
-        v0=v0,
-        v1=v1,
-        threshold=compute_threshold(n_apps),
-        success_probability=prev1,
-    )
+    return prev0, prev1
 
 
 def equilibrium_accept_probs(config: GameConfig) -> list[float]:
@@ -346,33 +369,43 @@ def record_survival_product(n: int, cost: float) -> float:
     return product
 
 
-def _reciprocal_total(lo: int, hi: int) -> tuple[int, int]:
-    """sum_{k=lo}^{hi-1} of the doubles 1.0/k exactly, for 1 <= lo < hi:
-    returns (total, unit) with the sum equal to total * 2**unit, where
-    2**unit is the spacing of the doubles at the last term 1.0/(hi-1), so
-    any 1.0/k with k < hi is a whole number of units.
+def _reciprocal_total(*points: int) -> tuple[list[int], int]:
+    """The sums of the doubles 1.0/k exactly between sorted breakpoints
+    1 <= points[0] < points[1] < ...: returns (totals, unit) with totals[i]
+    * 2**unit equal to sum_{k=points[i]}^{points[i+1]-1} 1.0/k, where
+    2**unit is the spacing of the doubles at the last term
+    1.0/(points[-1]-1), so any 1.0/k with k < points[-1] is a whole number
+    of units.
 
     Each term is m * 2^(e-1075) for its 53-bit mantissa m and biased
-    exponent e.  Per block of at most _BLOCK terms, the mantissas of each run
-    of equal exponent (1.0/k falls, so runs are contiguous) are summed
-    exactly in int64 as 27- and 26-bit halves, each sum below
-    2^27 * _BLOCK = 2^41.  The run sums are shifted into one Python int over
-    the smallest exponent.
+    exponent e.  Per block of at most _BLOCK terms, the mantissas of each
+    segment (a run of equal exponent, as 1.0/k falls, cut again at each
+    breakpoint) are summed exactly in int64 as 27- and 26-bit halves, each
+    sum below 2^27 * _BLOCK = 2^41, by one np.add.reduceat.  The segment
+    sums are shifted into one Python int per breakpoint interval over the
+    smallest exponent.
     """
-    unit = math.frexp(1.0 / (hi - 1))[1] - 53
+    unit = math.frexp(1.0 / (points[-1] - 1))[1] - 53
     e_min = unit + 1075  # biased exponent of the last term
-    total = 0
-    for start in range(lo, hi, _BLOCK):
-        bits = (1.0 / np.arange(start, min(start + _BLOCK, hi), dtype=np.float64)).view(np.int64)
+    bounds = np.array(points, dtype=np.int64)
+    totals = [0] * (len(points) - 1)
+    for start in range(points[0], points[-1], _BLOCK):
+        stop = min(start + _BLOCK, points[-1])
+        bits = (1.0 / np.arange(start, stop, dtype=np.float64)).view(np.int64)
         exps = bits >> 52
-        runs = np.flatnonzero(np.diff(exps, prepend=0))
+        segments = np.flatnonzero(np.diff(exps, prepend=0))
+        inner = bounds[np.searchsorted(bounds, start) : np.searchsorted(bounds, stop)]
+        if inner.size:
+            segments = np.sort(np.concatenate((segments, inner - start)))
+            segments = segments[np.diff(segments, prepend=-1) != 0]
+        intervals = np.searchsorted(bounds, start + segments, "right") - 1
         bits &= (1 << 52) - 1
         bits |= 1 << 52
-        high = np.add.reduceat(bits >> 26, runs).tolist()
-        low = np.add.reduceat(bits & ((1 << 26) - 1), runs).tolist()
-        for e, h, l in zip(exps[runs].tolist(), high, low):
-            total += ((h << 26) + l) << (e - e_min)
-    return total, unit
+        high = np.add.reduceat(bits >> 26, segments).tolist()
+        low = np.add.reduceat(bits & ((1 << 26) - 1), segments).tolist()
+        for i, e, h, l in zip(intervals.tolist(), exps[segments].tolist(), high, low):
+            totals[i] += ((h << 26) + l) << (e - e_min)
+    return totals, unit
 
 
 def _round_total(total: int, unit: int) -> float:
@@ -383,7 +416,8 @@ def _round_total(total: int, unit: int) -> float:
 def _reciprocal_sum(lo: int, hi: int) -> float:
     """sum_{k=lo}^{hi-1} of the doubles 1.0/k, correctly rounded: the bits
     of math.fsum over the same terms, for 1 <= lo < hi."""
-    return _round_total(*_reciprocal_total(lo, hi))
+    (total,), unit = _reciprocal_total(lo, hi)
+    return _round_total(total, unit)
 
 
 def _acceptance_mass(config: GameConfig) -> float:
@@ -416,11 +450,12 @@ def _acceptance_mass(config: GameConfig) -> float:
         tail_sum = math.fsum((1.0 / np.arange(n_star - 1, n_apps)).tolist())
     else:
         tail_sum = _reciprocal_sum(n_star - 1, n_apps)
-    return (
-        record_survival_product(n_star - 2, cost)
-        * (n_star - 1 - cost)
-        * (cost / (1.0 - cost) + tail_sum)
-    )
+    return _telescoped_mass(n_star, cost, record_survival_product(n_star - 2, cost), tail_sum)
+
+
+def _telescoped_mass(n_star: int, cost: float, survival: float, tail_sum: float) -> float:
+    """N * pi from S_{n*-2} and the rounded harmonic tail (see _acceptance_mass)."""
+    return survival * (n_star - 1 - cost) * (cost / (1.0 - cost) + tail_sum)
 
 
 def closed_form_success(config: GameConfig) -> float:
@@ -443,3 +478,113 @@ def expected_stopping_time(config: GameConfig) -> float:
     value equals N times closed_form_success(config) up to a rounding error.
     """
     return _acceptance_mass(config)
+
+
+def _solve_sizes(
+    configs: Sequence[GameConfig], *, stopping_times: bool = True
+) -> list[tuple[int, float, float | None]]:
+    """(threshold, success probability, expected stopping time) of each
+    instance: the same bits as solve_values(config, tables=False) and
+    expected_stopping_time(config).  The stopping time is None when
+    ``stopping_times`` is false.
+
+    Fewer than _LOCKSTEP_MIN_LANES instances are solved one at a time by
+    those two functions.  From that many on, every stage n < N of every
+    instance runs the same floating-point step, v0 = v1/n + v0 then
+    v1 = max(cost/N + (1-cost) v0, 1/N), so the backward inductions run in
+    lockstep (_lockstep_successes), and the closed forms share what does not
+    depend on the cost (_acceptance_masses).
+    """
+    if len(configs) < _LOCKSTEP_MIN_LANES:
+        out = []
+        for config in configs:
+            tables = solve_values(config, tables=False)
+            tau = expected_stopping_time(config) if stopping_times else None
+            out.append((tables.threshold, tables.success_probability, tau))
+        return out
+    thresholds = {n: compute_threshold(n) for n in {c.n_applicants for c in configs}}
+    successes = _lockstep_successes(configs, thresholds)
+    if stopping_times:
+        taus = _acceptance_masses(configs, thresholds)
+    else:
+        taus = [None] * len(configs)
+    return [
+        (thresholds[c.n_applicants], pi, tau)
+        for c, pi, tau in zip(configs, successes, taus)
+    ]
+
+
+def _lockstep_successes(
+    configs: Sequence[GameConfig], thresholds: dict[int, int]
+) -> list[float]:
+    """v1[1] of each instance by one backward descent over all of them.
+
+    The lanes, one per instance, are sorted by N from the largest, so the
+    lanes with N > n are a prefix of the lane arrays.  The cut stage m is
+    the threshold of lane _LOCKSTEP_MIN_LANES (n* grows with N), so below
+    it at least that many lanes are in their head stages.  Each instance
+    larger than m runs solve_values's recursion (_descend) alone down to
+    stage m, and every stage n < m is one numpy step over the lanes with
+    N > n, each lane starting from its stage-N boundary when n reaches N-1.
+    """
+    order = sorted(range(len(configs)), key=lambda i: configs[i].n_applicants, reverse=True)
+    sizes = np.array([configs[i].n_applicants for i in order], dtype=np.int64)
+    costs = np.array([configs[i].cost for i in order], dtype=np.float64)
+    floor = 1.0 / sizes
+    pay = costs / sizes
+    keep = 1.0 - costs
+    v0 = np.zeros(len(order))
+    v1 = floor.copy()
+    cut = thresholds[int(sizes[_LOCKSTEP_MIN_LANES - 1])]
+    for lane in range(int(np.count_nonzero(sizes > cut))):
+        v0[lane], v1[lane] = _descend(int(sizes[lane]), float(costs[lane]), cut - 1)
+    stages = np.arange(cut - 1, 0, -1)
+    active = np.searchsorted(-sizes, -stages)  # the count of lanes with N > n
+    step = np.empty_like(v0)
+    lanes = 0
+    for n, a in zip(stages.tolist(), active.tolist()):
+        if a != lanes:
+            lanes = a
+            x0, x1, t = v0[:a], v1[:a], step[:a]
+            keep_a, pay_a, floor_a = keep[:a], pay[:a], floor[:a]
+        np.divide(x1, n, out=t)
+        np.add(t, x0, out=x0)
+        np.multiply(keep_a, x0, out=t)
+        np.add(pay_a, t, out=t)
+        np.maximum(t, floor_a, out=x1)
+    out = [0.0] * len(order)
+    for i, success in zip(order, v1.tolist()):
+        out[i] = success
+    return out
+
+
+def _acceptance_masses(configs: Sequence[GameConfig], thresholds: dict[int, int]) -> list[float]:
+    """_acceptance_mass of each instance, given n* of each size.
+
+    The harmonic tails do not depend on the cost: one pass of
+    _reciprocal_total over the sorted breakpoints n*-1 and N of every size
+    gives exact integer totals, and each tail is a difference of their
+    running sums, rounded once, so the bits of the fsum.  S_{n*-2} is taken
+    from record_survival_product once per distinct (n*, cost).
+    """
+    sizes = [n for n, n_star in thresholds.items() if n_star > 1]
+    tails = {}
+    if sizes:
+        points = sorted({thresholds[n] - 1 for n in sizes}.union(sizes))
+        totals, unit = _reciprocal_total(*points)
+        running = dict(zip(points, itertools.accumulate(totals, initial=0)))
+        tails = {n: _round_total(running[n] - running[thresholds[n] - 1], unit) for n in sizes}
+    survivals = {}
+    masses = []
+    for config in configs:
+        n_star = thresholds[config.n_applicants]
+        if n_star == 1:
+            masses.append(1.0)
+            continue
+        key = (n_star, config.cost)
+        if key not in survivals:
+            survivals[key] = record_survival_product(n_star - 2, config.cost)
+        masses.append(
+            _telescoped_mass(n_star, config.cost, survivals[key], tails[config.n_applicants])
+        )
+    return masses

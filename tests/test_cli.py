@@ -22,7 +22,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
-from costly_secretary import cli, equilibrium, oracle
+from costly_secretary import asymptotics, cli, equilibrium, oracle
 from costly_secretary.cli import main
 
 
@@ -67,6 +67,19 @@ class TestSolve:
         assert capture(capsys, ["frobnicate"])[0] == 2
 
 
+def same_bytes_at_any_cut(capsys, monkeypatch, argv):
+    """The output is the same bytes whether the multi-size solver runs every
+    stage below the first lane's threshold in lockstep, every instance
+    alone (one solve_values and expected_stopping_time call each), or cuts
+    where it does by default."""
+    want = capture(capsys, argv)
+    assert want[0] in (0, 3)
+    for lanes in (2, 10**9):
+        monkeypatch.setattr(equilibrium, "_LOCKSTEP_MIN_LANES", lanes)
+        monkeypatch.setattr(asymptotics, "_LOCKSTEP_MIN_LANES", lanes)
+        assert capture(capsys, argv) == want, lanes
+
+
 class TestSweep:
     def test_figure_dataset_columns(self, capsys):
         code, out, _ = capture(
@@ -79,22 +92,43 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 49
 
     def test_rows_reproduce_solver_bit_for_bit(self, capsys):
-        code, out, _ = capture(
-            capsys, ["sweep", "--n-range", "5:25:5", "--cost-list", "0.3"]
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        for line in lines[1:]:
-            n, cost, n_star, pi, scaled_pi, asymptote, tau = line.split(",")
-            cfg = GameConfig(int(n), float(cost))
-            tables = solve_values(cfg)
-            assert float(pi) == tables.success_probability
-            assert int(n_star) == tables.threshold
-            assert float(scaled_pi) == int(n) ** float(cost) * tables.success_probability
-            assert float(tau) == expected_stopping_time(cfg)
-            assert float(asymptote) == limit_constant(float(cost)) * int(n) ** (
-                -float(cost)
+        # the second range has more sizes than the lockstep cut
+        for n_range, cost_list, rows in [("5:25:5", "0.3", 5), ("2:300", "0,0.3", 598)]:
+            code, out, _ = capture(
+                capsys, ["sweep", "--n-range", n_range, "--cost-list", cost_list]
             )
+            assert code == 0
+            lines = out.strip().splitlines()
+            assert len(lines) == 1 + rows
+            for line in lines[1:]:
+                n, cost, n_star, pi, scaled_pi, asymptote, tau = line.split(",")
+                cfg = GameConfig(int(n), float(cost))
+                tables = solve_values(cfg)
+                assert float(pi) == tables.success_probability
+                assert int(n_star) == tables.threshold
+                assert float(scaled_pi) == int(n) ** float(cost) * tables.success_probability
+                assert float(tau) == expected_stopping_time(cfg)
+                assert float(asymptote) == limit_constant(float(cost)) * int(n) ** (
+                    -float(cost)
+                )
+
+    @pytest.mark.parametrize("cost_list, bad", [("0.1,1.5", "1.5"), ("0.1,nan", "nan")])
+    def test_a_bad_cost_anywhere_in_the_list_is_a_usage_error(self, capsys, cost_list, bad):
+        code, out, err = capture(capsys, ["sweep", "--n-range", "2:300", "--cost-list", cost_list])
+        assert (code, out) == (2, "")
+        assert err == f"error: cost must lie in [0, 1), got {bad}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n-range", "2:300", "--cost-list", "0,0.1,0.9"],
+            ["sweep", "--n-range", "2:3000:7", "--cost-list", "0.4", "--format", "json"],
+            ["sweep", "--n-range", "10:100000:30", "--cost-list", "0.1,0.25", "--log-spaced"],
+        ],
+        ids=["dense", "stepped", "log"],
+    )
+    def test_bytes_do_not_depend_on_the_cut(self, capsys, monkeypatch, argv):
+        same_bytes_at_any_cut(capsys, monkeypatch, argv)
 
     def test_log_spacing(self, capsys):
         code, out, _ = capture(
@@ -322,6 +356,17 @@ class TestAsymptoticsCommand:
         assert code == 2
         assert out == ""
         assert err == "error: tolerance must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["asymptotics", "--cost", "0.1", "--n-range", "2:3000"],
+            ["asymptotics", "--cost", "0.1", "--n-range", "100:1000000:5", "--log-spaced"],
+        ],
+        ids=["dense", "readme-ladder"],
+    )
+    def test_bytes_do_not_depend_on_the_cut(self, capsys, monkeypatch, argv):
+        same_bytes_at_any_cut(capsys, monkeypatch, argv)
 
 
 def _reference_tables(n_apps: int, cost: float, fmt: str) -> str:
@@ -563,7 +608,7 @@ class TestErrors:
         "target, argv",
         [
             ("solve_values", ["solve", "--n", "10", "--cost", "0.1"]),
-            ("solve_values", ["sweep", "--n-range", "2:5", "--cost-list", "0.1"]),
+            ("_solve_sizes", ["sweep", "--n-range", "2:5", "--cost-list", "0.1"]),
             ("convergence_report", ["asymptotics", "--cost", "0.1", "--n-range", "10:20"]),
         ],
     )

@@ -600,6 +600,84 @@ class TestClosedForms:
             assert accept == [0.0] * (n_star - 1) + [1.0] * (n_apps - n_star + 1)
 
 
+def one_at_a_time(configs):
+    """Reference for _solve_sizes: the one-instance solvers."""
+    out = []
+    for config in configs:
+        tables = solve_values(config, tables=False)
+        out.append(
+            (tables.threshold, tables.success_probability, expected_stopping_time(config))
+        )
+    return out
+
+
+def assert_same_bits(configs, **kwargs):
+    got = equilibrium._solve_sizes(configs, **kwargs)
+    want = one_at_a_time(configs)
+    assert len(got) == len(configs)
+    wrong = [(c, g, w) for c, g, w in zip(configs, got, want) if g != w]
+    assert not wrong, wrong[:3]
+
+
+class TestSolveSizes:
+    # every threshold, success probability and stopping time must be the
+    # bits of solve_values(config, tables=False) and expected_stopping_time
+    LANES = equilibrium._LOCKSTEP_MIN_LANES
+
+    @pytest.mark.parametrize("cost", [0.0, 0.05, 0.4, 0.9, 0.999])
+    def test_every_size_to_3000(self, cost):
+        assert_same_bits([GameConfig(n, cost) for n in range(2, 3001)])
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_lane_counts_around_the_cut(self, monkeypatch, extra):
+        # below LANES lanes each instance is solved alone; from LANES on the
+        # larger ones run alone down to the cut and the rest in lockstep
+        solves = []
+        real = equilibrium.solve_values
+        monkeypatch.setattr(
+            equilibrium, "solve_values", lambda *a, **k: solves.append(a) or real(*a, **k)
+        )
+        configs = [GameConfig(40 + 61 * k, 0.3) for k in range(self.LANES + extra)]
+        assert_same_bits(configs)
+        assert len(solves) == (len(configs) if extra < 0 else 0)
+
+    def test_stepped_range(self):
+        assert_same_bits([GameConfig(n, 0.25) for n in range(2, 3001, 7)])
+
+    def test_mixed_costs_in_any_order(self):
+        # lanes of equal size and different cost, a repeated instance, and
+        # results returned in the order asked
+        configs = [GameConfig(n, c) for c in (0.0, 0.1, 0.9) for n in range(2, 1500, 3)]
+        configs += configs[:5]
+        random.Random(20).shuffle(configs)
+        assert_same_bits(configs)
+
+    def test_log_ladder_with_a_dense_bottom(self):
+        sizes = set(range(2, 120)) | {int(round(v)) for v in np.geomspace(120, 2e5, 25)}
+        assert_same_bits([GameConfig(n, 0.1) for n in sorted(sizes)])
+
+    def test_without_stopping_times(self):
+        configs = [GameConfig(n, 0.4) for n in range(2, 600)]
+        got = equilibrium._solve_sizes(configs, stopping_times=False)
+        assert got == [(t, pi, None) for t, pi, _ in one_at_a_time(configs)]
+
+
+class TestBreakpointTotals:
+    @pytest.mark.parametrize("block", [_BLOCK, 64, 3])
+    def test_each_interval_is_exact(self, monkeypatch, block):
+        # breakpoints on and next to block edges and exponent changes
+        monkeypatch.setattr(equilibrium, "_BLOCK", block)
+        rng = random.Random(block)
+        points = {1, 2, 63, 64, 65, 127, 128, 129, 192, 1000}
+        points |= {rng.randrange(3, 1000) for _ in range(40)}
+        points = sorted(points)
+        totals, unit = equilibrium._reciprocal_total(*points)
+        assert len(totals) == len(points) - 1
+        for lo, hi, total in zip(points, points[1:], totals):
+            exact = sum(Fraction(1.0 / k) for k in range(lo, hi))
+            assert Fraction(total) * Fraction(2) ** unit == exact, (lo, hi)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_apps=st.integers(min_value=2, max_value=80),
