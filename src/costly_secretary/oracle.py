@@ -9,11 +9,15 @@ order prefixes that carries integer numerators over the common
 denominator of the acceptance probabilities and weights each stage by the
 orders that complete its prefix.  ``exact_evaluation`` runs that walk once
 per plan and reads from it the success probability, the expected stopping
-index and the full-learning audit of every reachable prefix.  On top of
-that sit a fast stage recursion, vectorized over policies (cross-checked
-against the enumeration), and an exhaustive policy-space scan that
-evaluates the gridded policies in blocks and looks for anything beating
-the solved policy."""
+index and the full-learning audit of every reachable prefix; started at a
+later stage, for ``exact_state_value``, it takes each set of earlier ranks
+once.  On top of that sit a fast stage recursion, vectorized over policies
+(cross-checked against the enumeration), and an exhaustive policy-space
+scan that looks for anything beating the solved policy.  The scan shares
+the recursion between policies with the same leading options: it runs the
+leading stages once per prefix and the last few per chunk of at most
+``_BLOCK // 4`` policies, so it holds at most 28,561 prefix states and one
+chunk whatever the grid."""
 
 from __future__ import annotations
 
@@ -67,10 +71,20 @@ def _exact_walk(
     probabilities enter exactly (floats too), and the mass is carried as
     integer numerators over the product of their denominators.
 
+    The head, the ranks that arrive before ``stage``, is not played: the
+    walk starts below it with the full mass, and what it meets there
+    depends only on the head's set of ranks (the ranks left, and the best
+    of the head).  So the walk takes each head set once, as its sorted
+    order, and weights it by the (stage - 1)! orderings of the set.  From
+    stage 1 there is one empty head, and every one of the N! orders is
+    walked.
+
     Returns the summed success and stopping-index masses as Fractions, the
     number of orders walked, and the first (rank order, stage) at which a
     non-revealing stage holds a new best on a reachable prefix (None if
-    there is none).  A prefix behind a certain acceptance is unreachable,
+    there is none).  That first order in lexicographic order has a sorted
+    head, because every ordering of a head set breaks alike and the sorted
+    one comes first.  A prefix behind a certain acceptance is unreachable,
     so the walk does not descend past it.
     """
     n_apps = len(probs)
@@ -125,16 +139,20 @@ def _exact_walk(
 
     count = 0
     ranks = range(1, n_apps + 1)
-    for head in itertools.permutations(ranks, start):
+    for head in itertools.combinations(ranks, start):
         path[:start] = head
         rest = tuple(sorted(set(ranks).difference(head)))
         revealed = max(head, default=0)
         count += sum((r > revealed) == want_best for r in rest)
         descend(start, rest, 1, revealed)
+    # Each head set stands for its start! orderings, which all walk alike.
+    heads = math.factorial(start)
     total = math.prod(den[start:])
-    success = sum(m * w for m, w in zip(best_mass, scale))
-    tau_mass = sum(m * w * idx for idx, (m, w) in enumerate(zip(stop_mass, scale), start=1))
-    count *= math.factorial(n_apps - stage)
+    success = heads * sum(m * w for m, w in zip(best_mass, scale))
+    tau_mass = heads * sum(
+        m * w * idx for idx, (m, w) in enumerate(zip(stop_mass, scale), start=1)
+    )
+    count *= heads * math.factorial(n_apps - stage)
     return Fraction(success, total), Fraction(tau_mass, total), count, first
 
 
@@ -199,14 +217,19 @@ def _stage_recursion(stages: Iterable[tuple], n_apps: int) -> float | np.ndarray
     probability 0 adds +0.0 and multiplies by 1.0, which changes no bits.
     """
     inv_n = 1.0 / n_apps
-    alive = 1.0
-    total = 0.0
-    j = 0
+    state = (0, 0.0, 1.0)
     for reveals, q in stages:
-        j += reveals
-        total += alive * q * inv_n
-        alive *= 1.0 - q / np.where(reveals, j, 1)
-    return total
+        state = _stage_step(state, reveals, q, inv_n)
+    return state[1]
+
+
+def _stage_step(state: tuple, reveals, q, inv_n: float) -> tuple:
+    """One stage of the recursion: the (completed interviews j, success
+    total, surviving mass) after a stage with the given reveal flag and
+    acceptance probability, scalars or arrays alike."""
+    j, total, alive = state
+    j = j + reveals
+    return j, total + alive * q * inv_n, alive * (1.0 - q / np.where(reveals, j, 1))
 
 
 @dataclass(frozen=True)
@@ -251,6 +274,39 @@ def _fold_maximum(
     return best, n_max + ties.size
 
 
+def _grid_points(cost: float, grid_step: float) -> int:
+    """Number of scan grid points cost + k * grid_step, k = 0, 1, ..., that
+    lie below 1 - 1e-12, found by the test the grid is built with.  The
+    test is monotone in k, so a doubling search and a bisection find the
+    count in O(log k) tests, before anything is built.  Raises ValueError
+    where the count passes 2**1023, beyond which k * grid_step overflows."""
+
+    def below(k: int) -> bool:
+        return cost + k * grid_step < 1.0 - 1e-12
+
+    if not below(0):
+        return 0
+    lo, hi = 0, 1
+    while below(hi):
+        if hi == 2**1023:
+            raise ValueError(
+                f"grid_step {grid_step!r} gives over 2**1023 grid points, over "
+                f"the scan budget of {_MAX_POLICIES} policies"
+            )
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return hi
+
+
+def _expand(state: tuple, reveals: np.ndarray, probs: np.ndarray, inv_n: float) -> tuple:
+    """Recursion states after one more stage: one per (state, option) pair,
+    in itertools.product order, the option the faster digit."""
+    rows = tuple(x[:, None] for x in state)
+    return tuple(x.ravel() for x in _stage_step(rows, reveals, probs, inv_n))
+
+
 def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     """Scan every gridded policy and verify none beats the solved one.
 
@@ -259,8 +315,17 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     probability from {0} plus the same grid.  Raises VerificationError if
     any scanned policy exceeds the solved success probability by more than
     1e-12 or if the solved policy misses the scan maximum, and ValueError if
-    the grid holds more than ``_MAX_POLICIES`` policies.  A grid scan is
-    evidence, not proof: deviations off the grid are not examined.
+    the grid holds more than ``_MAX_POLICIES`` policies (counted before
+    anything is built).  A grid scan is evidence, not proof: deviations off
+    the grid are not examined.
+
+    Policies that share their first s options share the recursion state
+    after stage s, so the stage recursion runs once per prefix: over every
+    prefix of the first N - t stages, then over each chunk of those
+    prefixes expanded by the last t stages, where t is the longest tail
+    with base**t <= ``_BLOCK // 4`` policies (base options per stage).  The
+    chunks bound the leaves held at once; the head holds base**(N - t)
+    states, at most 28,561 (N = 3, base 169) within the budget.
     """
     if config.n_applicants > 8:
         raise ValueError("optimality_scan supports at most 8 applicants")
@@ -270,40 +335,46 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     cost = config.cost
     n_apps = config.n_applicants
 
-    qgrid: list[float] = []
-    v = cost
-    while v < 1.0 - 1e-12:
-        qgrid.append(v)
-        v = cost + len(qgrid) * grid_step
-    qgrid.append(1.0)
-    # (learning, 0) is outright rejection with nobody completing, which plays
+    n_points = _grid_points(cost, grid_step)
+    # Each grid point plus 1.0, learning and blind, and outright rejection:
+    # (learning, 0) is rejection with nobody completing, which plays
     # identically to blind acceptance with probability 0; scan it once.
-    options = [(True, q) for q in qgrid]
-    options.append((False, 0.0))
-    options.extend((False, q) for q in qgrid)
-
-    base = len(options)
+    base = 2 * (n_points + 1) + 1
     n_policies = base ** n_apps
     if n_policies > _MAX_POLICIES:
         raise ValueError(
             f"scan would evaluate {n_policies} policies, over the budget "
             f"of {_MAX_POLICIES}"
         )
+    qgrid = [cost + k * grid_step for k in range(n_points)]
+    qgrid.append(1.0)
+    options = [(True, q) for q in qgrid]
+    options.append((False, 0.0))
+    options.extend((False, q) for q in qgrid)
 
     # Policy p is the p-th combination of itertools.product(options,
     # repeat=N): its option at stage s is digit s of p in base len(options).
     # The recursion holds about eight arrays with one entry per policy in
-    # the block, so a quarter of _BLOCK keeps them to about 300 kB.
+    # the chunk, so a quarter of _BLOCK keeps them to about 300 kB.
     weights = [base ** (n_apps - s) for s in range(1, n_apps + 1)]
     option_reveals = np.array([learn for learn, _ in options])
     option_probs = np.array([q for _, q in options])
+    inv_n = 1.0 / n_apps
     width = _BLOCK // 4
+    tail = 0
+    while tail < n_apps and base ** (tail + 1) <= width:
+        tail += 1
+    leaves = base**tail
+    chunk = width // leaves
+    prefixes = (np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1))
+    for _ in range(n_apps - tail):
+        prefixes = _expand(prefixes, option_reveals, option_probs, inv_n)
     best, n_max, kept = -1.0, 0, []
-    for lo in range(0, n_policies, width):
-        flat = np.arange(lo, min(lo + width, n_policies))
-        digits = (flat // w % base for w in weights)
-        total = _stage_recursion(((option_reveals[d], option_probs[d]) for d in digits), n_apps)
-        best, n_max = _fold_maximum(total, lo, best, n_max, kept)
+    for lo in range(0, prefixes[0].size, chunk):
+        state = tuple(x[lo : lo + chunk] for x in prefixes)
+        for _ in range(tail):
+            state = _expand(state, option_reveals, option_probs, inv_n)
+        best, n_max = _fold_maximum(state[1], lo * leaves, best, n_max, kept)
 
     dp_success = solve_values(config, tables=False).success_probability
     eq_success = policy_success_probability(config, StrategyProfile.equilibrium(config))
@@ -344,9 +415,11 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
     0 means dominated.  Averages the success probability of the solved plan,
     ``StrategyProfile.equilibrium``, from that point over all arrival orders
     consistent with the state: the walk of ``exact_evaluation``, started at
-    the stage instead of stage 1.  Stage 1 in state 0 never occurs; it is
-    defined, as in the backward recursion, as the average of the two
-    stage-2 values.
+    the stage instead of stage 1.  The walk takes each set of ranks that
+    can arrive before the stage once, weighted by its (stage - 1)!
+    orderings, since the play from the stage on depends only on that set.
+    Stage 1 in state 0 never occurs; it is defined, as in the backward
+    recursion, as the average of the two stage-2 values.
     """
     n_apps = config.n_applicants
     stage = _as_count(stage, 1, "stage")

@@ -270,6 +270,21 @@ class TestOracleCommand:
         assert "11390625 policies" in err and "5000000" in err
 
     @pytest.mark.parametrize(
+        "argv, policies",
+        [(["--n", "2", "--cost", "0", "--grid-step", "0.00045"], "19793601"),
+         (["--n", "3", "--cost", "0", "--grid-step", "1e-6"], "8000036000054000027"),
+         (["--n", "3", "--cost", "0", "--grid-step", "1e-300"], "79999999999759990227")],
+    )
+    def test_scan_budget_is_counted_before_the_grid_is_built(self, capsys, argv, policies):
+        # the grid's points are counted by the test that builds it, so a
+        # tiny step fails at once with the count the full grid would give
+        code, out, err = capture(capsys, ["oracle", *argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: scan would evaluate {policies}")
+        assert err.endswith(" policies, over the budget of 5000000\n")
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--n", "8", "--grid-step", "0.3"],

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +195,12 @@ class TestOptimalityScan:
     def test_budget_and_validation(self):
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(5, 0.2), grid_step=0.05)
+        # counted before the grid is built: a tiny step fails at once, and
+        # one near the smallest float does not overflow k * grid_step
+        with pytest.raises(ValueError, match=r"evaluate \d{901} policies, over the budget"):
+            optimality_scan(GameConfig(3, 0.0), grid_step=1e-300)
+        with pytest.raises(ValueError, match=r"over 2\*\*1023 grid points"):
+            optimality_scan(GameConfig(2, 0.0), grid_step=5e-324)
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(9, 0.2), grid_step=0.25)
         with pytest.raises(ValueError):
@@ -292,9 +299,12 @@ class TestPrefixWalk:
                         assert exact_state_value(cfg, stage, state) == value
 
     def test_counts_and_first_break_from_any_state(self):
+        # from stage 3 on a head set has several orderings, which the walk
+        # takes once; the first break it reports must still be the replay's
         rand = random.Random(31337)
+        late_breaks = set()
         for _ in range(80):
-            n_apps = rand.randint(2, 6)
+            n_apps = rand.randint(2, 7)
             cost = rand.choice([0.0, 0.3])
             rules = [
                 StageRule(rand.random() < 0.7, rand.choice([0.0, 1.0, rand.uniform(cost, 1)]),
@@ -306,10 +316,13 @@ class TestPrefixWalk:
             exact_plan = (float_plan[0], [Fraction(q) for q in float_plan[1]])
             stage = rand.randint(1, n_apps)
             state = 1 if stage == 1 else rand.randint(0, 1)
-            assert _exact_walk(*exact_plan, stage, state) == flat_walk(*exact_plan, stage, state)
+            expected = flat_walk(*exact_plan, stage, state)
+            assert _exact_walk(*exact_plan, stage, state) == expected
             assert _exact_walk(*float_plan, stage, state)[2:] == flat_walk(
                 *float_plan, stage, state
             )[2:]
+            if expected[3] is not None and stage >= 3:
+                late_breaks.add(n_apps)
             # from stage 1, the public evaluation of the float profile and of
             # its plan as a Fraction policy equals the per-order replay
             success, tau_mass, count, first = flat_walk(*exact_plan)
@@ -319,6 +332,7 @@ class TestPrefixWalk:
                 assert (got.success, got.expected_tau, got.counterexample) == (
                     success / count, tau_mass / count, first
                 )
+        assert 7 in late_breaks and len(late_breaks) >= 3
 
 
 def one_by_one(totals):
@@ -343,12 +357,7 @@ def scan_reference(config, grid_step):
     recursion.  Returns the maximum, the number of ties, the kept maximizers
     as (learning, accept_probs), and the positions of the rises and ties."""
     cost, n_apps = config.cost, config.n_applicants
-    qgrid = []
-    v = cost
-    while v < 1.0 - 1e-12:
-        qgrid.append(v)
-        v = cost + len(qgrid) * grid_step
-    qgrid.append(1.0)
+    qgrid = grid_loop(cost, grid_step)
     options = [(True, q) for q in qgrid] + [(False, 0.0)] + [(False, q) for q in qgrid]
     combos = list(itertools.product(options, repeat=n_apps))
     totals = []
@@ -368,11 +377,44 @@ def scan_reference(config, grid_step):
     return best, n_max, kept, hits
 
 
+def grid_loop(cost, grid_step):
+    """The scan grid built one point at a time, as the scan built it before
+    it counted the points first."""
+    qgrid = []
+    v = cost
+    while v < 1.0 - 1e-12:
+        qgrid.append(v)
+        v = cost + len(qgrid) * grid_step
+    qgrid.append(1.0)
+    return qgrid
+
+
+def test_grid_points_match_the_loop():
+    rand = random.Random(1618)
+    cases = [(0.0, 0.25), (0.0, 0.1), (0.4, 0.1), (0.75, 0.25), (1 - 1e-12, 0.25),
+             (0.0, 0.00045), (0.3, 1e-4), (0.5, 1 / 3 / 7)]
+    cases += [(rand.choice([0.0, rand.random()]), rand.uniform(1e-3, 0.25)) for _ in range(200)]
+    for cost, grid_step in cases:
+        assert oracle._grid_points(cost, grid_step) == len(grid_loop(cost, grid_step)) - 1
+
+
 class TestScanAgainstProductLoop:
     @staticmethod
     def assert_same(config, grid_step):
         best, n_max, kept, hits = scan_reference(config, grid_step)
-        report = optimality_scan(config, grid_step)
+        fold, chunks = oracle._fold_maximum, []
+
+        def spy(total, offset, *args):
+            chunks.append((offset, total.size))
+            return fold(total, offset, *args)
+
+        with mock.patch.object(oracle, "_fold_maximum", spy):
+            report = optimality_scan(config, grid_step)
+        # the chunks hand every policy to the fold once, in order
+        ends = list(itertools.accumulate(size for _, size in chunks))
+        assert [offset for offset, _ in chunks] == [0, *ends[:-1]]
+        base = 2 * len(grid_loop(config.cost, grid_step)) + 1
+        assert ends[-1] == report.n_policies == base**config.n_applicants
         assert report.max_success == best and type(report.max_success) is float
         assert report.n_maximizers == n_max
         assert [(p.learning, p.accept_probs) for p in report.maximizers] == kept
@@ -394,11 +436,20 @@ class TestScanAgainstProductLoop:
             assert (got_best, got_n, got_kept) == (best, n_max, kept)
             assert type(got_best) is float
 
+    @pytest.mark.parametrize(
+        "n_apps, cost, grid_step",
+        [(3, 0.5, 0.25),  # 7**3 policies: no head stage, one chunk
+         (5, 0.4, 0.25)],  # 81 two-stage prefixes in chunks of 5: the last holds one
+    )
+    def test_chunk_edges(self, n_apps, cost, grid_step):
+        self.assert_same(GameConfig(n_apps, cost), grid_step)
+
     def test_ties_truncated_to_kept_cap(self):
         n_max, kept, _ = self.assert_same(GameConfig(2, 0.0), 0.02)
         assert n_max == 408 and len(kept) == 256
 
     def test_ties_in_later_blocks(self):
+        # base 203 > 64: a one-stage tail, 203 prefixes in chunks of 20
         _, _, hits = self.assert_same(GameConfig(2, 0.0), 0.01)
         assert max(hits) >= oracle._BLOCK
 
@@ -499,7 +550,7 @@ class TestFullLearningAudit:
 class TestExactStateValue:
     def test_matches_dp_tables(self):
         for cost in (0.0, 0.3, 0.7):
-            for n_apps in (2, 3, 5, 6):
+            for n_apps in (2, 3, 5, 6, 8):
                 cfg = GameConfig(n_apps, cost)
                 tables = solve_values(cfg)
                 for stage in range(1, n_apps + 1):
