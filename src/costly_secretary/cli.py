@@ -30,11 +30,10 @@ from .equilibrium import (
     GameConfig,
     ValueTables,
     _solve_sizes,
-    closed_form_success,
     expected_stopping_time,
     solve_values,
 )
-from .oracle import VerificationError, exact_evaluation, optimality_scan
+from .oracle import ExactEvaluation, VerificationError, exact_evaluation, optimality_scan
 from .simulator import StrategyProfile, estimate
 
 __all__ = ["run", "main"]
@@ -272,15 +271,17 @@ def _run_oracle(args: argparse.Namespace) -> int:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     # The scan checks its grid before any work; run it first so that a bad
     # --grid-step fails fast, and report its outcome after the other rows.
+    # An instance too large to enumerate fails next, before any O(N) work.
     scan = None
     if args.grid_step is not None:
         try:
             scan = optimality_scan(config, args.grid_step)
         except VerificationError as exc:
             scan = exc
+    ExactEvaluation.require_enumerable(config)
     dp = solve_values(config, tables=False).success_probability
-    closed = closed_form_success(config)
     tau_closed = expected_stopping_time(config)
+    closed = tau_closed / config.n_applicants
     exact = exact_evaluation(config, StrategyProfile.equilibrium(config))
     enum_pi = float(exact.success)
     enum_tau = float(exact.expected_tau)

@@ -73,7 +73,7 @@ class GameConfig:
 
 
 # Stages per vectorized block: bounds the temporaries of solve_values,
-# record_survival_product and _reciprocal_sum to a few hundred kB whatever N is.
+# record_survival_product and _reciprocal_total to a few hundred kB whatever N is.
 _BLOCK = 1 << 14
 # compute_threshold reads N below this size from one cached
 # compute_threshold_sequence table (about 50 us to build, once per process)
@@ -89,12 +89,8 @@ _THRESHOLD_MARGIN = 1e-12
 # (about 7 s at N = 1e9 on a 2-core host); above this size
 # compute_threshold refuses instead of running it.
 _LOOP_MAX_N = 10**9
-# A harmonic tail of at most this many terms is summed by math.fsum, which
-# beats the numpy calls of _reciprocal_sum below about 700 terms (N ~ 1100);
-# both give the same bits.
-_FSUM_MAX_TERMS = 700
-# _solve_sizes solves fewer instances than this one at a time, and runs in
-# lockstep only the stages where at least this many are in their head stages:
+# _solve_sizes runs in lockstep only the stages where at least this many
+# instances are in their head stages:
 # one numpy step of five ufuncs takes about 6 us on a 2-core host, a scalar
 # head stage about 0.16 us per instance, so they break even near 36.
 _LOCKSTEP_MIN_LANES = 48
@@ -413,71 +409,25 @@ def _round_total(total: int, unit: int) -> float:
     return math.ldexp(float(total), unit)
 
 
-def _reciprocal_sum(lo: int, hi: int) -> float:
-    """sum_{k=lo}^{hi-1} of the doubles 1.0/k, correctly rounded: the bits
-    of math.fsum over the same terms, for 1 <= lo < hi."""
-    (total,), unit = _reciprocal_total(lo, hi)
-    return _round_total(total, unit)
+def expected_stopping_time(config: GameConfig) -> float:
+    """Expected index of the accepted applicant, by the closed form.
 
-
-def _acceptance_mass(config: GameConfig) -> float:
-    """Shared closed-form core: returns N * success probability.
-
-    The same quantity is the expected index of the accepted applicant (with
-    no acceptance contributing zero), so both public closed forms read off
-    this value and the stopping-time identity holds to a rounding error.
-
-    With S_k = record_survival_product(k, cost), the mass is
-    cost * sum_{k=0}^{n*-2} S_k + (n*-1) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k.
-    The S_k are rising factorials over k!, so sum_{k=0}^{m} S_k telescopes to
-    S_m (m+1-cost)/(1-cost), and (n*-1) S_{n*-1} = S_{n*-2} (n*-1-cost):
-
-        N * pi = S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
-
-    Only the harmonic tail is summed, exactly: the sum of the doubles 1.0/k,
-    correctly rounded once (math.fsum for a tail of at most _FSUM_MAX_TERMS
-    terms, _reciprocal_sum in integers for a longer one; both give the same
-    bits).
-    At N = 2 the threshold is 1 and S_{n*-2} is undefined; there stage 1 is
-    always a current best, accepted outright, so the mass is 1.
+    Trials where nobody is accepted contribute zero to the expectation.  The
+    value is N times the success probability (see _acceptance_masses), so
+    closed_form_success reads it off.
     """
     n_apps = config.n_applicants
-    cost = config.cost
-    n_star = compute_threshold(n_apps)
-    if n_star == 1:
-        return 1.0
-    if n_apps - n_star + 1 <= _FSUM_MAX_TERMS:
-        tail_sum = math.fsum((1.0 / np.arange(n_star - 1, n_apps)).tolist())
-    else:
-        tail_sum = _reciprocal_sum(n_star - 1, n_apps)
-    return _telescoped_mass(n_star, cost, record_survival_product(n_star - 2, cost), tail_sum)
-
-
-def _telescoped_mass(n_star: int, cost: float, survival: float, tail_sum: float) -> float:
-    """N * pi from S_{n*-2} and the rounded harmonic tail (see _acceptance_mass)."""
-    return survival * (n_star - 1 - cost) * (cost / (1.0 - cost) + tail_sum)
+    return _acceptance_masses([config], {n_apps: compute_threshold(n_apps)})[0]
 
 
 def closed_form_success(config: GameConfig) -> float:
-    """Success probability without running the backward induction.
+    """Success probability without running the backward induction:
+    expected_stopping_time(config) / N.
 
-    Evaluates S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
-    / N, where S is record_survival_product: the telescoped form of
-    (cost/N) * sum_{k<n*-1} S_k + ((n*-1)/N) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k,
-    with the harmonic tail summed exactly and rounded once.  Agrees with
-    solve_values(config).success_probability to well below 1e-12 on
-    moderate instance sizes.
+    Agrees with solve_values(config).success_probability to well below
+    1e-12 on moderate instance sizes.
     """
-    return _acceptance_mass(config) / config.n_applicants
-
-
-def expected_stopping_time(config: GameConfig) -> float:
-    """Expected index of the accepted applicant.
-
-    Trials where nobody is accepted contribute zero to the expectation.  The
-    value equals N times closed_form_success(config) up to a rounding error.
-    """
-    return _acceptance_mass(config)
+    return expected_stopping_time(config) / config.n_applicants
 
 
 def _solve_sizes(
@@ -488,20 +438,11 @@ def _solve_sizes(
     expected_stopping_time(config).  The stopping time is None when
     ``stopping_times`` is false.
 
-    Fewer than _LOCKSTEP_MIN_LANES instances are solved one at a time by
-    those two functions.  From that many on, every stage n < N of every
-    instance runs the same floating-point step, v0 = v1/n + v0 then
-    v1 = max(cost/N + (1-cost) v0, 1/N), so the backward inductions run in
-    lockstep (_lockstep_successes), and the closed forms share what does not
-    depend on the cost (_acceptance_masses).
+    Every stage n < N of every instance runs the same floating-point step,
+    v0 = v1/n + v0 then v1 = max(cost/N + (1-cost) v0, 1/N), so the
+    backward inductions run in lockstep (_lockstep_successes), and the
+    closed forms of every size come from one pass (_acceptance_masses).
     """
-    if len(configs) < _LOCKSTEP_MIN_LANES:
-        out = []
-        for config in configs:
-            tables = solve_values(config, tables=False)
-            tau = expected_stopping_time(config) if stopping_times else None
-            out.append((tables.threshold, tables.success_probability, tau))
-        return out
     thresholds = {n: compute_threshold(n) for n in {c.n_applicants for c in configs}}
     successes = _lockstep_successes(configs, thresholds)
     if stopping_times:
@@ -522,10 +463,12 @@ def _lockstep_successes(
     The lanes, one per instance, are sorted by N from the largest, so the
     lanes with N > n are a prefix of the lane arrays.  The cut stage m is
     the threshold of lane _LOCKSTEP_MIN_LANES (n* grows with N), so below
-    it at least that many lanes are in their head stages.  Each instance
-    larger than m runs solve_values's recursion (_descend) alone down to
-    stage m, and every stage n < m is one numpy step over the lanes with
-    N > n, each lane starting from its stage-N boundary when n reaches N-1.
+    it at least that many lanes are in their head stages; with fewer lanes
+    the cut is stage 1.  Each instance larger than m runs solve_values's
+    recursion (_descend) alone down to stage m, and every stage n < m is one
+    numpy step over the lanes with N > n, each lane starting from its
+    stage-N boundary when n reaches N-1.  At cut 1 every lane runs alone to
+    stage 1, which is solve_values(config, tables=False), and no step runs.
     """
     order = sorted(range(len(configs)), key=lambda i: configs[i].n_applicants, reverse=True)
     sizes = np.array([configs[i].n_applicants for i in order], dtype=np.int64)
@@ -535,7 +478,9 @@ def _lockstep_successes(
     keep = 1.0 - costs
     v0 = np.zeros(len(order))
     v1 = floor.copy()
-    cut = thresholds[int(sizes[_LOCKSTEP_MIN_LANES - 1])]
+    cut = 1
+    if len(order) >= _LOCKSTEP_MIN_LANES:
+        cut = thresholds[int(sizes[_LOCKSTEP_MIN_LANES - 1])]
     for lane in range(int(np.count_nonzero(sizes > cut))):
         v0[lane], v1[lane] = _descend(int(sizes[lane]), float(costs[lane]), cut - 1)
     stages = np.arange(cut - 1, 0, -1)
@@ -559,13 +504,28 @@ def _lockstep_successes(
 
 
 def _acceptance_masses(configs: Sequence[GameConfig], thresholds: dict[int, int]) -> list[float]:
-    """_acceptance_mass of each instance, given n* of each size.
+    """N * success probability of each instance, given n* of each size: the
+    one closed-form driver.
 
-    The harmonic tails do not depend on the cost: one pass of
-    _reciprocal_total over the sorted breakpoints n*-1 and N of every size
-    gives exact integer totals, and each tail is a difference of their
-    running sums, rounded once, so the bits of the fsum.  S_{n*-2} is taken
+    The same quantity is the expected index of the accepted applicant (with
+    no acceptance contributing zero), so both public closed forms read off
+    this value and the stopping-time identity holds to a rounding error.
+
+    With S_k = record_survival_product(k, cost), the mass is
+    cost * sum_{k=0}^{n*-2} S_k + (n*-1) * S_{n*-1} * sum_{k=n*-1}^{N-1} 1/k.
+    The S_k are rising factorials over k!, so sum_{k=0}^{m} S_k telescopes to
+    S_m (m+1-cost)/(1-cost), and (n*-1) S_{n*-1} = S_{n*-2} (n*-1-cost):
+
+        N * pi = S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + sum_{k=n*-1}^{N-1} 1/k)
+
+    Only the harmonic tail is summed, exactly: the sum of the doubles 1.0/k,
+    correctly rounded once, the bits of math.fsum over the same terms.  The
+    tails do not depend on the cost: one pass of _reciprocal_total over the
+    sorted breakpoints n*-1 and N of every size gives exact integer totals,
+    and each tail is a difference of their running sums.  S_{n*-2} is taken
     from record_survival_product once per distinct (n*, cost).
+    At N = 2 the threshold is 1 and S_{n*-2} is undefined; there stage 1 is
+    always a current best, accepted outright, so the mass is 1.
     """
     sizes = [n for n, n_star in thresholds.items() if n_star > 1]
     tails = {}
@@ -581,10 +541,10 @@ def _acceptance_masses(configs: Sequence[GameConfig], thresholds: dict[int, int]
         if n_star == 1:
             masses.append(1.0)
             continue
-        key = (n_star, config.cost)
+        cost = config.cost
+        key = (n_star, cost)
         if key not in survivals:
-            survivals[key] = record_survival_product(n_star - 2, config.cost)
-        masses.append(
-            _telescoped_mass(n_star, config.cost, survivals[key], tails[config.n_applicants])
-        )
+            survivals[key] = record_survival_product(n_star - 2, cost)
+        tail = tails[config.n_applicants]
+        masses.append(survivals[key] * (n_star - 1 - cost) * (cost / (1.0 - cost) + tail))
     return masses

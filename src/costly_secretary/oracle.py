@@ -88,8 +88,6 @@ def _exact_walk(
     so the walk does not descend past it.
     """
     n_apps = len(probs)
-    if n_apps > _MAX_ENUM:
-        raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
     start = stage - 1
     want_best = state == 1
     exact = [Fraction(q) for q in probs]
@@ -176,10 +174,18 @@ class ExactEvaluation:
     expected_tau: Fraction
     counterexample: Optional[tuple[tuple[int, ...], int]]
 
+    @staticmethod
+    def require_enumerable(config: GameConfig) -> None:
+        """Raise ValueError for an instance with too many arrival orders to
+        enumerate (N > 10), before anything of size N is built."""
+        if config.n_applicants > _MAX_ENUM:
+            raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
+
 
 def exact_evaluation(config: GameConfig, plan: PolicySpec | StrategyProfile) -> ExactEvaluation:
     """Evaluate a policy or profile exactly, by one walk over all N!
     arrival orders from stage 1."""
+    ExactEvaluation.require_enumerable(config)
     success, tau_mass, count, first = _exact_walk(*plan.plan(config))
     return ExactEvaluation(success / count, tau_mass / count, first)
 
@@ -427,6 +433,7 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
         raise ValueError(f"stage must be in 1..{n_apps}, got {stage}")
     if state not in (0, 1):
         raise ValueError(f"state must be 0 or 1, got {state!r}")
+    ExactEvaluation.require_enumerable(config)
     if stage == 1 and state == 0:
         return (
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)

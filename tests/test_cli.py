@@ -70,8 +70,7 @@ class TestSolve:
 def same_bytes_at_any_cut(capsys, monkeypatch, argv):
     """The output is the same bytes whether the multi-size solver runs every
     stage below the first lane's threshold in lockstep, every instance
-    alone (one solve_values and expected_stopping_time call each), or cuts
-    where it does by default."""
+    alone to stage 1, or cuts where it does by default."""
     want = capture(capsys, argv)
     assert want[0] in (0, 3)
     for lanes in (2, 10**9):
@@ -305,6 +304,20 @@ class TestOracleCommand:
         assert out == ""
         assert err == message
 
+    @pytest.mark.parametrize("n_apps", ["11", "1000000000"])
+    def test_unenumerable_size_fails_before_any_solve(self, capsys, monkeypatch, n_apps):
+        # the size is refused before the DP, the closed form or the solved
+        # plan runs: each is O(N), about 120 MB at N = 1e6
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved before checking the enumeration size")
+
+        for name in ("solve_values", "expected_stopping_time", "exact_evaluation"):
+            monkeypatch.setattr(cli, name, forbidden)
+        code, out, err = capture(capsys, ["oracle", "--n", n_apps, "--cost", "0.1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration supports at most 10 applicants\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_scan_keeps_the_other_rows(self, capsys, monkeypatch, fmt):
         # the scan's own solved value reads 1e-6 low, so a scanned policy
@@ -330,8 +343,10 @@ class TestOracleCommand:
 
     def test_expected_tau_row_is_checked_against_the_dp(self, capsys, monkeypatch):
         # against N times the closed form, the same mass over N, it cannot fail
-        mass = equilibrium._acceptance_mass
-        monkeypatch.setattr(equilibrium, "_acceptance_mass", lambda c: 1.05 * mass(c))
+        masses = equilibrium._acceptance_masses
+        monkeypatch.setattr(
+            equilibrium, "_acceptance_masses", lambda *a: [1.05 * m for m in masses(*a)]
+        )
         code, out, _ = capture(capsys, ["oracle", "--n", "6", "--cost", "0.2"])
         status = {row.split(",")[0]: row.split(",")[-1] for row in out.splitlines()[1:]}
         assert code == 3

@@ -23,7 +23,7 @@ from costly_secretary import (
     solve_values,
 )
 from costly_secretary import equilibrium
-from costly_secretary.equilibrium import _BLOCK, _FSUM_MAX_TERMS
+from costly_secretary.equilibrium import _BLOCK
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -431,6 +431,17 @@ def list_acceptance_mass(n_apps, cost):
     return cost * pre_sum + (n_star - 1) * survival_at_threshold * tail_sum
 
 
+def fsum_acceptance_mass(n_apps, cost):
+    """Reference: the telescoped closed form with the harmonic tail summed by
+    math.fsum, S_{n*-2} * (n*-1-cost) * (cost/(1-cost) + tail)."""
+    n_star = compute_threshold(n_apps)
+    if n_star == 1:
+        return 1.0
+    tail_sum = math.fsum((1.0 / np.arange(n_star - 1, n_apps)).tolist())
+    survival = record_survival_product(n_star - 2, cost)
+    return survival * (n_star - 1 - cost) * (cost / (1.0 - cost) + tail_sum)
+
+
 def first_size(start, reached):
     return next(n for n in itertools.count(start) if reached(n))
 
@@ -466,6 +477,13 @@ def tail_test_sizes(dense_max, sparse_max):
     return sorted(n for n in sizes if 3 <= n <= sparse_max)  # N = 2 sums no tail
 
 
+def reciprocal_sum(lo, hi):
+    """sum_{k=lo}^{hi-1} of the doubles 1.0/k, summed exactly in integers and
+    rounded once."""
+    (total,), unit = equilibrium._reciprocal_total(lo, hi)
+    return equilibrium._round_total(total, unit)
+
+
 class TestExactTail:
     @pytest.mark.parametrize(
         "block, dense_max, sparse_max",
@@ -479,7 +497,7 @@ class TestExactTail:
         for n_apps in tail_test_sizes(dense_max, sparse_max):
             lo = compute_threshold(n_apps) - 1
             want = math.fsum((1.0 / np.arange(lo, n_apps)).tolist())
-            assert equilibrium._reciprocal_sum(lo, n_apps) == want, n_apps
+            assert reciprocal_sum(lo, n_apps) == want, n_apps
 
     def test_bits_equal_fsum_at_block_edges(self, monkeypatch):
         # ranges of one term and of whole blocks plus or minus one
@@ -487,7 +505,7 @@ class TestExactTail:
         for lo in (1, 2, 3, 63, 64, 65, 1000, 2**20 - 1):
             for size in (1, 2, 63, 64, 65, 127, 128, 129):
                 want = math.fsum((1.0 / np.arange(lo, lo + size)).tolist())
-                assert equilibrium._reciprocal_sum(lo, lo + size) == want, (lo, size)
+                assert reciprocal_sum(lo, lo + size) == want, (lo, size)
 
 
 class TestClosedForms:
@@ -500,7 +518,7 @@ class TestClosedForms:
             assert abs(Fraction(mass) - exact) <= Fraction(1, 10**14) * exact
 
     @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
-    def test_matches_list_form(self, monkeypatch, cost):
+    def test_matches_list_form(self, cost):
         # the product and the tail run in blocks of _BLOCK terms; the last two
         # sizes make the n* - 2 survival factors one whole block and the
         # N - n* + 1 tail terms two whole blocks
@@ -513,27 +531,31 @@ class TestClosedForms:
         )
         assert compute_threshold(whole_survival) - 2 == _BLOCK
         assert whole_tail - compute_threshold(whole_tail) + 1 == 2 * _BLOCK
-        # the first tail summed in integers rather than by fsum, and the last
-        # fsum one
+        # the sizes whose tails have 700 and 701 terms, where math.fsum and
+        # the integer sum break even
         first_integer_tail = first_size(
-            int(_FSUM_MAX_TERMS * math.e / (math.e - 1)) - 5,
-            lambda n: n - compute_threshold(n) + 1 > _FSUM_MAX_TERMS,
+            int(700 * math.e / (math.e - 1)) - 5,
+            lambda n: n - compute_threshold(n) + 1 > 700,
         )
-        assert first_integer_tail - compute_threshold(first_integer_tail) == _FSUM_MAX_TERMS
+        assert first_integer_tail - compute_threshold(first_integer_tail) == 700
         sizes = (2, 3, 4, 10, first_integer_tail - 1, first_integer_tail, _BLOCK - 1)
         sizes += (_BLOCK + 1, 10**5, 10**6, whole_survival, whole_tail)
-        masses = {}
         for n_apps in sizes:
             cfg = GameConfig(n_apps, cost)
             want = list_acceptance_mass(n_apps, cost)
-            masses[n_apps] = mass = expected_stopping_time(cfg)
+            mass = expected_stopping_time(cfg)
             assert abs(mass - want) <= 2e-13 * want
             assert closed_form_success(cfg) == mass / n_apps
-        # fsum and the integer sum give the same bits on either side of the cut
-        for cut in (0, 10**6):
-            monkeypatch.setattr(equilibrium, "_FSUM_MAX_TERMS", cut)
-            for n_apps in sizes:
-                assert expected_stopping_time(GameConfig(n_apps, cost)) == masses[n_apps], n_apps
+            # the integer tail sum gives the bits of the fsum one
+            assert mass == fsum_acceptance_mass(n_apps, cost), n_apps
+
+    @pytest.mark.parametrize("cost", [0.0, 0.1, 0.5, 0.9])
+    def test_every_size_to_3000_equals_the_fsum_form(self, cost):
+        for n_apps in range(2, 3001):
+            cfg = GameConfig(n_apps, cost)
+            mass = fsum_acceptance_mass(n_apps, cost)
+            assert expected_stopping_time(cfg) == mass, n_apps
+            assert closed_form_success(cfg) == mass / n_apps, n_apps
 
     def test_peak_memory_does_not_grow_with_n(self):
         # one block of 2**14 floats as a Python list is about 0.5 MB; the
@@ -630,16 +652,24 @@ class TestSolveSizes:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_lane_counts_around_the_cut(self, monkeypatch, extra):
-        # below LANES lanes each instance is solved alone; from LANES on the
-        # larger ones run alone down to the cut and the rest in lockstep
-        solves = []
-        real = equilibrium.solve_values
+        # below LANES lanes each instance runs alone to stage 1; from LANES
+        # on the larger ones run alone down to the cut and the rest in
+        # lockstep
+        stops = []
+        real = equilibrium._descend
         monkeypatch.setattr(
-            equilibrium, "solve_values", lambda *a, **k: solves.append(a) or real(*a, **k)
+            equilibrium, "_descend", lambda n, c, stop: stops.append(stop) or real(n, c, stop)
         )
         configs = [GameConfig(40 + 61 * k, 0.3) for k in range(self.LANES + extra)]
+        equilibrium._solve_sizes(configs)
+        monkeypatch.undo()
+        if extra < 0:
+            assert stops == [0] * len(configs)
+        else:
+            cut = compute_threshold(sorted(c.n_applicants for c in configs)[-self.LANES])
+            assert cut > 1
+            assert stops == [cut - 1] * sum(c.n_applicants > cut for c in configs)
         assert_same_bits(configs)
-        assert len(solves) == (len(configs) if extra < 0 else 0)
 
     def test_stepped_range(self):
         assert_same_bits([GameConfig(n, 0.25) for n in range(2, 3001, 7)])

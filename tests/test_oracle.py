@@ -496,6 +496,26 @@ class TestFullLearningAudit:
         with pytest.raises(ValueError):
             exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
 
+    @pytest.mark.parametrize("n_apps", [11, 10**9])
+    def test_rejects_large_instances_before_reading_a_plan(self, monkeypatch, n_apps):
+        # neither the plan of exact_evaluation nor the solved profile of
+        # exact_state_value is built or read: each is O(N)
+        class Unread:
+            def plan(self, config):
+                raise AssertionError("read the plan before checking the size")
+
+        def forbidden(config):
+            raise AssertionError("built the solved profile before checking the size")
+
+        monkeypatch.setattr(StrategyProfile, "equilibrium", forbidden)
+        cfg = GameConfig(n_apps, 0.1)
+        message = "enumeration supports at most 10 applicants"
+        with pytest.raises(ValueError, match=message):
+            exact_evaluation(cfg, Unread())
+        for stage, state in ((1, 1), (1, 0), (2, 0)):
+            with pytest.raises(ValueError, match=message):
+                exact_state_value(cfg, stage, state)
+
     @staticmethod
     def reference_counterexample(profile):
         """The audit as a per-stage replay of the game rules, kept as an
