@@ -405,7 +405,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="most threads to run (default: every usable CPU); the output never depends on it",
+    )
     add_io(p)
     p.set_defaults(handler=_run_simulate)
 

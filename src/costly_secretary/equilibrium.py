@@ -219,18 +219,17 @@ class ValueTables:
     success_probability: float
 
 
-def _check_tables_fit(n_apps: int) -> None:
-    """Raise MemoryError before allocating two N+1 float tables that are
-    larger than the host's physical memory (skipped where it is unknown)."""
+def _check_fits(need: int, what: str) -> None:
+    """Raise MemoryError before allocating ``need`` bytes for ``what`` when
+    that is more than the host's physical memory (skipped where it is
+    unknown)."""
     names = getattr(os, "sysconf_names", {})
     if "SC_PHYS_PAGES" not in names or "SC_PAGE_SIZE" not in names:
         return
-    need = 16 * (n_apps + 1)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if 0 < have < need:
         raise MemoryError(
-            f"the value tables for n_applicants={n_apps} need {need} bytes, "
-            f"more than the {have} bytes of physical memory"
+            f"{what} need {need} bytes, more than the {have} bytes of physical memory"
         )
 
 
@@ -265,7 +264,7 @@ def solve_values(config: GameConfig, *, tables: bool = True) -> ValueTables:
     n_apps = config.n_applicants
     v0 = v1 = None
     if tables:
-        _check_tables_fit(n_apps)
+        _check_fits(16 * (n_apps + 1), f"the value tables for n_applicants={n_apps}")
         v0 = np.empty(n_apps + 1, dtype=np.float64)
         v1 = np.empty(n_apps + 1, dtype=np.float64)
         v0[0] = v1[0] = math.nan

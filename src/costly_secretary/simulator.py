@@ -15,7 +15,12 @@ oracle's N! walk and stage recursion play.
 
 Monte Carlo aggregation is batched: trial batches draw from independent
 counter-based substreams keyed by (seed, batch index) and are reduced in a
-fixed order, so results are bit-identical for any worker count.
+fixed order, so results are bit-identical for any worker count.  The unit
+of parallel work is a *trial slice*, a range of a batch's trials that reads
+only its own places in the batch's stream and jumps over the rest; a batch
+is cut into slices only when there are fewer batches than threads, so that
+even a single batch can use every thread.  Slices sum to the batch's integer
+totals, whatever the cut.
 
 The stream layout is the reproducibility contract.  Batch b of a run with
 seed s holds size = _BATCH trials (the last batch holds the rest) and draws
@@ -41,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equilibrium import GameConfig, _as_count, _check_cost, equilibrium_accept_probs
+from .equilibrium import GameConfig, _as_count, _check_cost, _check_fits, compute_threshold
 
 __all__ = [
     "StageRule",
@@ -52,6 +57,8 @@ __all__ = [
 ]
 
 _BATCH = 32768  # fixed batch width; part of the reproducibility contract
+_PLAN_BYTES = 96  # peak bytes per stage of a solved profile and its stage plan, as measured
+_SLICE = 4096  # fewest trials worth a thread of their own; not part of the contract
 _SHIFT = np.uint64(11)  # a 64-bit output keeps its top 53 bits as a double
 
 
@@ -95,12 +102,18 @@ class StrategyProfile:
 
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
-        """The solved full-learning profile: accept a current best with
-        probability cost before the threshold stage and outright after.
-        The stages share one frozen rule per distinct probability."""
-        probs = equilibrium_accept_probs(config)
-        rules = {q: StageRule(True, q) for q in set(probs)}
-        return cls(cost=config.cost, stages=tuple(map(rules.__getitem__, probs)))
+        """The solved full-learning profile, the stages of
+        ``equilibrium_accept_probs``: accept a current best with probability
+        cost before the threshold stage and outright from it on.  The stages
+        share one frozen rule per probability.  Once the threshold is known,
+        a size whose rules and plan (see ``plan``) would not fit in physical
+        memory raises MemoryError before either is built."""
+        n_apps = config.n_applicants
+        n_star = compute_threshold(n_apps)
+        _check_fits(_PLAN_BYTES * n_apps, f"the stage rules and plan for n_applicants={n_apps}")
+        head, tail = StageRule(True, config.cost), StageRule(True, 1.0)
+        stages = (head,) * (n_star - 1) + (tail,) * (n_apps - n_star + 1)
+        return cls(cost=config.cost, stages=stages)
 
     @classmethod
     def no_learning(
@@ -272,15 +285,25 @@ def _skip(bitgen: np.random.BitGenerator, pos: int, count: int) -> None:
 
 
 def _run_batch(
-    reveals: Sequence[bool], probs: Sequence[float], size: int, key: int
+    reveals: Sequence[bool],
+    probs: Sequence[float],
+    size: int,
+    key: int,
+    lo: int = 0,
+    hi: int | None = None,
 ) -> tuple[int, int, int, int]:
-    """Simulate one batch; returns integer totals (successes, acceptances,
-    sum of stopping indices, sum of squared stopping indices).
+    """Simulate trials [lo, hi) (by default all) of a batch of ``size``
+    trials; returns integer totals (successes, acceptances, sum of stopping
+    indices, sum of squared stopping indices).
 
     Stage j (from 0) reads the abilities at stream outputs
     [2j·size, (2j+1)·size) and the acceptance uniforms at the next ``size``
-    outputs, one output per double.  A stage with acceptance probability 0
-    or 1 reads no uniform, so its block is jumped over instead of drawn.
+    outputs, one output per double; trial i reads the output at offset i of
+    each block.  The slice reads only its own outputs and jumps over the
+    rest, as it does over the uniforms of a stage with acceptance
+    probability 0 or 1, which reads none.  Trials are independent and the
+    totals are integer sums, so any partition of a batch into slices sums to
+    the whole batch's totals.
 
     The kernel works on the raw 64-bit outputs.  An ability is ``raw >> 11``,
     the integer that the double ``(raw >> 11) * 2**-53`` scales, so every
@@ -292,30 +315,37 @@ def _run_batch(
     with live_j trials alive at the start of stage j and ``live`` never accepted,
     Σ τ = Σ_j live_j - N·live and Σ τ² = Σ_j (2j+1)·live_j - N²·live.
     """
+    hi = size if hi is None else hi
+    m = hi - lo
     bitgen = np.random.Philox(key=key)
-    alive = np.ones(size, dtype=bool)
-    revealed_max = np.zeros(size, dtype=np.uint64)
-    true_max = np.zeros(size, dtype=np.uint64)
-    chosen = np.zeros(size, dtype=np.uint64)
-    live = size
+    pos = 0  # stream outputs produced so far
+
+    def read(start: int) -> np.ndarray:
+        nonlocal pos
+        _skip(bitgen, pos, start + lo - pos)
+        pos = start + hi
+        return bitgen.random_raw(m)
+
+    alive = np.ones(m, dtype=bool)
+    revealed_max = np.zeros(m, dtype=np.uint64)
+    true_max = np.zeros(m, dtype=np.uint64)
+    chosen = np.zeros(m, dtype=np.uint64)
+    live = m
     live_sum = live_sq_sum = 0
     for j in range(len(reveals)):
         live_sum += live
         live_sq_sum += (2 * j + 1) * live
-        theta = bitgen.random_raw(size)
+        theta = read(2 * j * size)
         np.right_shift(theta, _SHIFT, out=theta)  # in place: a second array costs page faults
-        q = probs[j]
-        if 0.0 < q < 1.0:
-            u_raw = bitgen.random_raw(size)
-        else:
-            _skip(bitgen, (2 * j + 1) * size, size)
         np.maximum(true_max, theta, out=true_max)
         eligible = alive
         if reveals[j]:  # only a new best completes and may be accepted
             eligible = alive & (theta > revealed_max)
             np.maximum(revealed_max, theta, out=revealed_max)
+        q = probs[j]
         if q > 0.0:
             if q < 1.0:
+                u_raw = read((2 * j + 1) * size)
                 eligible = eligible & (u_raw < np.uint64(math.ceil(q * 2**53) << 11))
             newly = np.flatnonzero(eligible)
             chosen[newly] = theta[newly]
@@ -324,10 +354,18 @@ def _run_batch(
     n = len(reveals)
     return (
         int(np.count_nonzero(~alive & (chosen == true_max))),
-        size - live,
+        m - live,
         live_sum - n * live,
         live_sq_sum - n * n * live,
     )
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (``os.cpu_count()`` counts the host's CPUs)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def estimate(
@@ -335,36 +373,43 @@ def estimate(
     profile: StrategyProfile,
     trials: int,
     seed: int,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> AggregateStats:
     """Aggregate many plays into success and stopping-time statistics.
 
     Bit-identical output for fixed (config, profile, trials, seed) no matter
-    how many workers run the batches.  ``workers`` is an upper bound: at most
-    one thread per batch and per CPU is started.
+    how many workers run the batches.  ``workers`` is an upper bound on the
+    threads, which are also at most one per usable CPU; None means every
+    usable CPU.  A thread plays whole batches, unless there are fewer batches
+    than threads: then each batch is cut into trial slices of at least
+    _SLICE trials, enough to give every thread one where the batches allow.
     """
     reveals, probs = profile.plan(config)
     trials = _as_count(trials, 1, "trials")
     seed = _as_count(seed, 0, "seed")
     if seed >= 2**64:
         raise ValueError("seed must fit in 64 bits")
-    workers = _as_count(workers, 1, "workers")
-    n_batches = (trials + _BATCH - 1) // _BATCH
-
-    def one(batch: int) -> tuple[int, int, int, int]:
+    cpus = _usable_cpus()
+    threads = min(cpus if workers is None else _as_count(workers, 1, "workers"), cpus)
+    n_batches = -(-trials // _BATCH)
+    cuts = -(-threads // n_batches)  # 1 unless there are fewer batches than threads
+    slices = []
+    for batch in range(n_batches):
         size = min(_BATCH, trials - batch * _BATCH)
-        return _run_batch(reveals, probs, size, key=(seed << 64) | batch)
+        parts = max(1, min(cuts, size // _SLICE))
+        key = (seed << 64) | batch
+        slices += [(size, key, size * i // parts, size * (i + 1) // parts) for i in range(parts)]
 
-    threads = min(workers, n_batches, os.cpu_count() or 1)
+    def one(trial_slice: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        return _run_batch(reveals, probs, *trial_slice)
+
+    threads = min(threads, len(slices))
     if threads == 1:
-        results = [one(b) for b in range(n_batches)]
+        results = list(map(one, slices))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_batches)))
-    n_success = sum(r[0] for r in results)
-    n_accepted = sum(r[1] for r in results)
-    tau_sum = sum(r[2] for r in results)
-    tau_sq_sum = sum(r[3] for r in results)
+            results = list(pool.map(one, slices))
+    n_success, n_accepted, tau_sum, tau_sq_sum = map(sum, zip(*results))
 
     success_rate = n_success / trials
     success_se = math.sqrt(success_rate * (1.0 - success_rate) / trials)

@@ -308,6 +308,27 @@ def test_abilities_tied_in_their_top_53_bits(monkeypatch, first_q):
     assert got == want
 
 
+def cut_points(size):
+    """Cuts that are not multiples of 4 cross Philox's 4-output buffer."""
+    return sorted({c for c in (0, 1, 3, 5, size // 2, size - 1, size) if 0 <= c <= size})
+
+
+@pytest.mark.parametrize("plan", KERNEL_PLANS, ids=repr)
+def test_slices_sum_to_the_whole_batch(plan):
+    kind, n_apps, cost = plan
+    config, profile = PROFILES[kind](n_apps, cost)
+    reveals, probs = profile.plan(config)
+    for size in [1, 7, 33, 1001, 32768]:
+        cuts = cut_points(size)
+        for key in KERNEL_KEYS:
+            whole = simulator._run_batch(reveals, probs, size, key)
+            parts = [
+                simulator._run_batch(reveals, probs, size, key, lo, hi)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+            assert tuple(map(sum, zip(*parts))) == whole, (size, key, cuts)
+
+
 def recording_executor(sizes):
     """A stand-in for ThreadPoolExecutor that appends its size to ``sizes``
     and runs ``map`` serially, so no thread is started."""
@@ -328,30 +349,77 @@ def recording_executor(sizes):
     return Executor
 
 
+def set_cpus(monkeypatch, affinity, count):
+    """Let the process run on ``affinity`` CPUs (None: the platform has no
+    affinity mask) of a host that counts ``count``."""
+    if affinity is None:
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+    else:
+        mask = set(range(affinity))
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: count)
+
+
 @pytest.mark.parametrize(
-    "workers, cpus, trials, threads",
-    [
-        (5000, 64, 3 * 32768 + 1, 4),  # one thread per batch at most
-        (5000, 2, 3 * 32768 + 1, 2),  # one thread per CPU at most
-        (3, 64, 5 * 32768, 3),  # never more than asked
-        (5000, None, 3 * 32768 + 1, None),  # unknown CPU count: serial
-        (5000, 64, 100, None),  # one batch: serial
-    ],
+    "affinity, count, cpus",
+    [(3, 64, 3), (64, 2, 64), (None, 64, 64), (None, None, 1)],
 )
-def test_workers_bound_the_threads(monkeypatch, workers, cpus, trials, threads):
+def test_usable_cpus(monkeypatch, affinity, count, cpus):
+    set_cpus(monkeypatch, affinity, count)
+    assert simulator._usable_cpus() == cpus
+
+
+# (workers, usable CPUs, trials, threads started or None for serial, slices
+# per batch); None CPUs: the platform counts none
+WORKER_CASES = [
+    (5000, 2, 3 * 32768 + 1, 2, [1, 1, 1, 1]),  # one thread per CPU at most
+    (3, 64, 5 * 32768, 3, [1] * 5),  # never more than asked
+    (5000, None, 3 * 32768 + 1, None, [1] * 4),  # unknown CPU count: serial
+    (5000, 64, 100, None, [1]),  # one batch too small to cut: serial
+    (5000, 64, 3 * 32768 + 1, 25, [8, 8, 8, 1]),  # fewer batches than CPUs: slices
+    (None, 2, 131072, 2, [1] * 4),  # as many batches as CPUs: whole batches
+    (None, 2, 32768, 2, [2]),  # one batch: one slice per CPU
+    (None, 8, 32768, 8, [8]),  # slices of 4096 trials at least
+    (None, 64, 20000, 4, [4]),
+    (None, 64, 8192, 2, [2]),
+    (None, 64, 8191, None, [1]),
+    (1, 64, 32768, None, [1]),  # one worker: serial
+    (None, 1, 3 * 32768 + 1, None, [1] * 4),  # one CPU: serial
+]
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, trials, threads, parts",
+    WORKER_CASES,
+    ids=["-".join(map(str, case[:4])) for case in WORKER_CASES],
+)
+def test_workers_bound_the_threads(monkeypatch, workers, cpus, trials, threads, parts):
     config, profile = equilibrium(4, 0.1)
     serial = estimate(config, profile, trials, seed=21, workers=1)
-    sizes = []
+    sizes, played = [], []
+    kernel = simulator._run_batch
+
+    def spy(reveals, probs, *piece):
+        played.append(piece)
+        return kernel(reveals, probs, *piece)
+
+    monkeypatch.setattr(simulator, "_run_batch", spy)
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", recording_executor(sizes))
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+    set_cpus(monkeypatch, None, cpus)
     stats = estimate(config, profile, trials, seed=21, workers=workers)
     assert sizes == ([] if threads is None else [threads])
+    # batch b is cut into parts[b] even slices, played in order
+    want = []
+    for batch, cut in enumerate(parts):
+        size = min(32768, trials - 32768 * batch)
+        key = (21 << 64) | batch
+        want += [(size, key, size * i // cut, size * (i + 1) // cut) for i in range(cut)]
+    assert played == want
     assert stats == serial
 
 
 def test_three_threads_match_serial(monkeypatch):
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3, 3)
     config, profile = mixed(40, 0.2)
     serial = estimate(config, profile, 70001, seed=2**63 + 7, workers=1)
     assert estimate(config, profile, 70001, seed=2**63 + 7, workers=8) == serial
-

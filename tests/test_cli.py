@@ -22,7 +22,7 @@ from costly_secretary import (
     limit_constant,
     solve_values,
 )
-from costly_secretary import asymptotics, cli, equilibrium, oracle
+from costly_secretary import asymptotics, cli, equilibrium, oracle, simulator
 from costly_secretary.cli import main
 
 
@@ -193,6 +193,18 @@ class TestSimulate:
         _, out1, _ = capture(capsys, argv)
         _, out2, _ = capture(capsys, argv + ["--workers", "3"])
         assert out1 == out2
+
+    @pytest.mark.parametrize("cpus", [None, 4])
+    @pytest.mark.parametrize("trials", ["20000", "70001"])
+    def test_default_workers_give_the_serial_bytes(self, capsys, monkeypatch, trials, cpus):
+        # one batch (cut into slices) and three batches, on this host's CPUs
+        # and on four
+        if cpus is not None:
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+        argv = ["simulate", "--n", "300", "--cost", "0.1", "--trials", trials, "--seed", "5"]
+        serial = capture(capsys, argv + ["--workers", "1"])
+        assert serial[0] == 0
+        assert capture(capsys, argv) == serial
 
     def test_rate_near_exact(self, capsys):
         code, out, _ = capture(
@@ -632,6 +644,21 @@ class TestErrors:
         code, out, err = capture(capsys, argv + ["--tables"])
         assert (code, out) == (2, "")
         assert err.startswith("error: out of memory (the value tables for n_applicants=100000")
+        assert capture(capsys, argv)[0] == 0
+
+    def test_simulate_plan_larger_than_memory_exit_2(self, capsys, monkeypatch):
+        real = os.sysconf
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: 100 if name == "SC_PHYS_PAGES" else real(name)
+        )
+        argv = ["simulate", "--n", "100000", "--cost", "0.1", "--trials", "1"]
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: out of memory (the stage rules and plan for n_applicants=100000 "
+            "need 9600000 bytes, more than the "
+        )
+        monkeypatch.undo()
         assert capture(capsys, argv)[0] == 0
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ class TestProfiles:
         assert len({id(rule) for rule in profile.stages}) <= 2
         assert profile.stages == per_stage.stages
         assert profile.plan(cfg) == per_stage.plan(cfg)
+
+    def test_plan_larger_than_memory_is_refused(self, monkeypatch):
+        real = os.sysconf
+        monkeypatch.setattr(
+            os, "sysconf", lambda name: 100 if name == "SC_PHYS_PAGES" else real(name)
+        )
+        big = GameConfig(10**5, 0.1)
+        with pytest.raises(MemoryError, match="n_applicants=100000 need 9600000 bytes"):
+            StrategyProfile.equilibrium(big)
+        monkeypatch.undo()
+        # where the host memory is unknown, the check is skipped
+        monkeypatch.setattr(os, "sysconf_names", {})
+        assert len(StrategyProfile.equilibrium(big).stages) == 10**5
 
     def test_admin_acceptance_mapping(self):
         cfg = GameConfig(4, 0.3)
@@ -297,6 +311,9 @@ class TestEstimate:
             estimate(cfg, profile, 10, seed=-1)
         with pytest.raises(ValueError):
             estimate(cfg, profile, 10, seed=2**64)
+        for workers in (0, 1.5, True):
+            with pytest.raises(ValueError):
+                estimate(cfg, profile, 10, seed=1, workers=workers)
 
 
 class TestIncentiveAudit:
