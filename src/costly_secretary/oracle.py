@@ -2,16 +2,19 @@
 ``StrategyProfile.plan`` read them, for the costly-interview hiring game.
 
 Everything here is deliberately independent of the backward-induction
-solver: success probabilities are obtained by enumerating all N! arrival
-orders and propagating acceptance probabilities analytically along each
-order, in exact arithmetic.  The enumeration is a depth-first walk over
-order prefixes that carries integer numerators over the common
-denominator of the acceptance probabilities and weights each stage by the
-orders that complete its prefix.  ``exact_evaluation`` runs that walk once
-per plan and reads from it the success probability, the expected stopping
-index and the full-learning audit of every reachable prefix; started at a
-later stage, for ``exact_state_value``, it takes each set of earlier ranks
-once.  On top of that sit a fast stage recursion, vectorized over policies
+solver: success probabilities are exact averages over all N! arrival
+orders of the acceptance probabilities propagated along each order.  The
+walk that computes them goes depth first over order prefixes with integer
+numerators over the common denominator of the acceptance probabilities,
+but what happens below a prefix depends only on its state: the ranks
+still to arrive and the best rank revealed so far.  So the walk solves
+each state once, for unit mass, and reuses it wherever a prefix meets it
+again, which bounds the work by the 2^N * (N + 1) states instead of the
+N! orders.  ``exact_evaluation`` runs that walk once per plan and reads
+from it the success probability, the expected stopping index and the
+full-learning audit of every reachable prefix; started at a later stage,
+for ``exact_state_value``, it takes each set of earlier ranks once.  On
+top of that sit a fast stage recursion, vectorized over policies
 (cross-checked against the enumeration), and an exhaustive policy-space
 scan that looks for anything beating the solved policy.  The scan shares
 the recursion between policies with the same leading options: it runs the
@@ -55,37 +58,40 @@ class VerificationError(RuntimeError):
 def _exact_walk(
     reveals: Sequence[bool], probs: Sequence[float | Fraction], stage: int = 1, state: int = 1
 ) -> tuple[Fraction, Fraction, int, Optional[tuple[tuple[int, ...], int]]]:
-    """Walk, from ``stage`` on, every arrival order in which the stage's
-    applicant is (state 1) or is not (state 0) the best so far; from stage 1
-    in state 1 that is all N! orders.
+    """Sum, from ``stage`` on, over every arrival order in which the
+    stage's applicant is (state 1) or is not (state 0) the best so far;
+    from stage 1 in state 1 that is all N! orders.
 
     ``reveals`` and ``probs`` are a stage plan: at a revealing stage only a
     new best completes and may be accepted, at any other stage the
     acceptance is blind.  Per order the only randomness left is the
-    administrator's coin flips, so the walk carries the surviving
-    probability mass along the order and accumulates hiring-the-best and
-    stopping-index mass at each acceptance opportunity.  What happens at a
-    stage depends only on the order's prefix up to it, so the walk goes
-    depth first over prefixes, in lexicographic order, and weights the mass
-    met at stage k by the (N - k)! orders that complete the prefix.  The
+    administrator's coin flips, so the surviving probability mass is
+    carried along the order and hiring-the-best and stopping-index mass
+    accumulate at each acceptance opportunity.  The walk goes depth first
+    over order prefixes, in lexicographic order, and weights the mass met
+    at stage k by the (N - k)! orders that complete the prefix.  The
     probabilities enter exactly (floats too), and the mass is carried as
     integer numerators over the product of their denominators.
 
-    The head, the ranks that arrive before ``stage``, is not played: the
-    walk starts below it with the full mass, and what it meets there
-    depends only on the head's set of ranks (the ranks left, and the best
-    of the head).  So the walk takes each head set once, as its sorted
-    order, and weights it by the (stage - 1)! orderings of the set.  From
-    stage 1 there is one empty head, and every one of the N! orders is
-    walked.
+    What happens below a prefix depends only on its state: the set of ranks
+    still to arrive (which fixes the stage) and the best rank revealed so
+    far.  So the walk solves a state once, as the success and
+    stopping-index numerators of its subtree for unit mass, and a prefix
+    that meets it again multiplies them by its own mass.  That visits at
+    most 2^N * (N + 1) states instead of N! orders.  The head, the ranks
+    that arrive before ``stage``, is one case of it: the walk starts below
+    the head with the full mass, takes each head set once, as its sorted
+    order, and weights it by the (stage - 1)! orderings of the set.
 
     Returns the summed success and stopping-index masses as Fractions, the
-    number of orders walked, and the first (rank order, stage) at which a
-    non-revealing stage holds a new best on a reachable prefix (None if
-    there is none).  That first order in lexicographic order has a sorted
-    head, because every ordering of a head set breaks alike and the sorted
-    one comes first.  A prefix behind a certain acceptance is unreachable,
-    so the walk does not descend past it.
+    number of orders summed over, and the first (rank order, stage) at
+    which a non-revealing stage holds a new best on a reachable prefix
+    (None if there is none).  A state's first visit comes before all its
+    later ones in depth-first order, so any break inside it is met on that
+    first visit, and the first break found is the lexicographically first;
+    it has a sorted head, because every ordering of a head set breaks alike
+    and the sorted one comes first.  A prefix behind a certain acceptance
+    is unreachable, so the walk does not descend past it.
     """
     n_apps = len(probs)
     start = stage - 1
@@ -94,21 +100,28 @@ def _exact_walk(
     offer = [q.numerator for q in exact]
     den = [q.denominator for q in exact]
     keep = [d - a for a, d in zip(offer, den)]
-    # Mass met at stage idx is a numerator over den[start] * ... * den[idx];
-    # scale[idx] brings it over all the denominators and weights it by the
-    # orders that complete its prefix.
+    # Mass offered at stage idx, per unit entering it, is a numerator over
+    # den[idx]; scale[idx] brings it over den[idx + 1 :] too and weights it
+    # by the orders that complete its prefix.  A state's numerators are thus
+    # over den[idx:], and the mass entering it, over den[start:idx], brings
+    # them over all the denominators.
     scale = [
         math.prod(den[idx + 1 :]) * math.factorial(n_apps - idx - 1)
         for idx in range(n_apps)
     ]
-    best_mass = [0] * n_apps
-    stop_mass = [0] * n_apps
     path = [0] * n_apps
     first = None
+    # (rest, revealed) -> the subtree's success and stopping-index
+    # numerators for unit mass; the stage is n_apps - len(rest).
+    seen: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
 
-    def descend(idx: int, rest: tuple[int, ...], alive: int, revealed: int) -> None:
+    def descend(idx: int, rest: tuple[int, ...], revealed: int) -> tuple[int, int]:
         nonlocal first
+        key = rest, revealed
+        if key in seen:
+            return seen[key]
         reveal = reveals[idx]
+        best = stop = 0
         for i, rank in enumerate(rest):
             if idx == start and (rank > revealed) != want_best:
                 continue
@@ -122,41 +135,45 @@ def _exact_walk(
             elif first is None and rank > revealed:
                 first = (*path[:idx], rank, *rest[:i], *rest[i + 1 :]), idx + 1
             if offered:
-                win = alive * offered
+                win = offered * scale[idx]
                 if rank == n_apps:
-                    best_mass[idx] += win
-                stop_mass[idx] += win
-                left = alive * keep[idx]
+                    best += win
+                stop += win * (idx + 1)
+                left = keep[idx]
                 if not left:
                     continue
             else:
-                left = alive * den[idx]
+                left = den[idx]
             if idx + 1 < n_apps:
                 path[idx] = rank
-                descend(idx + 1, rest[:i] + rest[i + 1 :], left, top)
+                below = descend(idx + 1, rest[:i] + rest[i + 1 :], top)
+                best += left * below[0]
+                stop += left * below[1]
+        seen[key] = best, stop
+        return best, stop
 
-    count = 0
+    count = success = tau_mass = 0
     ranks = range(1, n_apps + 1)
     for head in itertools.combinations(ranks, start):
         path[:start] = head
         rest = tuple(sorted(set(ranks).difference(head)))
         revealed = max(head, default=0)
         count += sum((r > revealed) == want_best for r in rest)
-        descend(start, rest, 1, revealed)
+        best, stop = descend(start, rest, revealed)
+        success += best
+        tau_mass += stop
     # Each head set stands for its start! orderings, which all walk alike.
     heads = math.factorial(start)
     total = math.prod(den[start:])
-    success = heads * sum(m * w for m, w in zip(best_mass, scale))
-    tau_mass = heads * sum(
-        m * w * idx for idx, (m, w) in enumerate(zip(stop_mass, scale), start=1)
-    )
+    success *= heads
+    tau_mass *= heads
     count *= heads * math.factorial(n_apps - stage)
     return Fraction(success, total), Fraction(tau_mass, total), count, first
 
 
 @dataclass(frozen=True)
 class ExactEvaluation:
-    """One plan's exact evaluation over all N! arrival orders.
+    """One plan's exact evaluation, averaged over all N! arrival orders.
 
     ``success`` is the probability of hiring the overall best and
     ``expected_tau`` the expected stopping index (zero when nobody is
@@ -183,8 +200,8 @@ class ExactEvaluation:
 
 
 def exact_evaluation(config: GameConfig, plan: PolicySpec | StrategyProfile) -> ExactEvaluation:
-    """Evaluate a policy or profile exactly, by one walk over all N!
-    arrival orders from stage 1."""
+    """Evaluate a policy or profile exactly, by one walk from stage 1 over
+    the states of the N! arrival orders."""
     ExactEvaluation.require_enumerable(config)
     success, tau_mass, count, first = _exact_walk(*plan.plan(config))
     return ExactEvaluation(success / count, tau_mass / count, first)
@@ -420,10 +437,11 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
     ``state`` 1 means the stage's applicant is the best interviewed so far,
     0 means dominated.  Averages the success probability of the solved plan,
     ``StrategyProfile.equilibrium``, from that point over all arrival orders
-    consistent with the state: the walk of ``exact_evaluation``, started at
-    the stage instead of stage 1.  The walk takes each set of ranks that
-    can arrive before the stage once, weighted by its (stage - 1)!
-    orderings, since the play from the stage on depends only on that set.
+    consistent with the state: the state walk of ``exact_evaluation``,
+    started at the stage instead of stage 1.  The walk takes each set of
+    ranks that can arrive before the stage once, weighted by its
+    (stage - 1)! orderings, since the play from the stage on depends only
+    on that set, and solves each later state once.
     Stage 1 in state 0 never occurs; it is defined, as in the backward
     recursion, as the average of the two stage-2 values.
     """

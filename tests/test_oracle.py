@@ -96,6 +96,28 @@ class TestExactExpectedTau:
             exact = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
             assert exact.expected_tau == n_apps * exact.success
 
+    @pytest.mark.parametrize("n_apps", [9, 10])
+    @pytest.mark.parametrize("cost", [0.0, 0.375, 0.5])
+    def test_exact_identities_at_the_largest_sizes(self, n_apps, cost):
+        # N pi = S_{n*-2} (n* - 1 - c) (c / (1 - c) + sum_{k=n*-1}^{N-1} 1/k)
+        # with S_m = prod_{k<=m} (1 - c/k) and n* the least n with
+        # sum_{k=n}^{N-1} 1/k <= 1, all worked out here in Fractions
+        c = Fraction(cost)
+        n_star = next(
+            n for n in range(1, n_apps + 1)
+            if sum(Fraction(1, k) for k in range(n, n_apps)) <= 1
+        )
+        survive = Fraction(1)
+        for k in range(1, n_star - 1):
+            survive *= 1 - c / k
+        tail = sum(Fraction(1, k) for k in range(n_star - 1, n_apps))
+        product_form = survive * (n_star - 1 - c) * (c / (1 - c) + tail) / n_apps
+        cfg = GameConfig(n_apps, cost)
+        exact = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
+        assert exact.expected_tau == n_apps * exact.success
+        assert exact.counterexample is None
+        assert exact.success == product_form
+
 
 class TestPolicyEvaluator:
     def test_matches_enumeration_on_random_policies(self):
@@ -210,7 +232,7 @@ class TestOptimalityScan:
 def flat_walk(reveals, probs, stage=1, state=1):
     """The enumeration as a per-order replay in the number type of ``probs``:
     every order of the N! is walked stage by stage on its own.  Kept as an
-    independent reference for the prefix walk."""
+    independent reference for the state walk, which reuses each state."""
     n_apps = len(probs)
     start = stage - 1
     one = type(probs[0])(1)
@@ -333,6 +355,31 @@ class TestPrefixWalk:
                     success / count, tau_mass / count, first
                 )
         assert 7 in late_breaks and len(late_breaks) >= 3
+
+    def test_eight_applicants_from_stage_one_and_a_later_state(self):
+        # two revealing stages, then blind and forced-decline ones; the walk
+        # reuses each (ranks left, best revealed) state, and every output,
+        # the first break included, must still be the replay's
+        rand = random.Random(20)
+        cost = 0.25
+        rules = [StageRule(True, rand.randint(4, 15) / 16) for _ in range(2)] + [
+            StageRule(rand.random() < 0.6, rand.randint(0, 16) / 16,
+                      force_decline=rand.random() < 0.2)
+            for _ in range(6)
+        ]
+        float_plan = StrategyProfile(cost, tuple(rules)).plan(GameConfig(8, cost))
+        assert any(r.force_decline for r in rules) and not all(r.learning for r in rules)
+        fraction_plan = (
+            float_plan[0],
+            [Fraction(rand.randint(2, 7), 7) if q else Fraction(0) for q in float_plan[1]],
+        )
+        for reveals, probs in (float_plan, fraction_plan):
+            later = rand.randint(3, 8), rand.randint(0, 1)
+            exact = [Fraction(q) for q in probs]
+            for stage, state in ((1, 1), later):
+                expected = flat_walk(reveals, exact, stage, state)
+                assert expected[3] is not None
+                assert _exact_walk(reveals, probs, stage, state) == expected
 
 
 def one_by_one(totals):
