@@ -18,9 +18,13 @@ top of that sit a fast stage recursion, vectorized over policies
 (cross-checked against the enumeration), and an exhaustive policy-space
 scan that looks for anything beating the solved policy.  The scan shares
 the recursion between policies with the same leading options: it runs the
-leading stages once per prefix and the last few per chunk of at most
-``_BLOCK // 4`` policies, so it holds at most 28,561 prefix states and one
-chunk whatever the grid."""
+leading stages once per prefix and the later ones, up to the last but one,
+per chunk of at most ``_BLOCK // 4`` states, so it holds at most 729
+prefix states and one chunk whatever the grid.  The last stage is bounded
+before it is run: each stage-(N - 1) state's q = 1 leaf is its largest, so
+only the states whose q = 1 leaf can still rise or tie have their leaves
+computed and folded, and a skipped leaf lies provably more than 1e-12 below
+the fold's running maximum.  The scan still covers every gridded policy."""
 
 from __future__ import annotations
 
@@ -275,26 +279,72 @@ class ScanReport:
 
 
 def _fold_maximum(
-    total: np.ndarray, offset: int, best: float, n_max: int, kept: list[int]
+    total: np.ndarray, where: np.ndarray, best: float, n_max: int, kept: list[int]
 ) -> tuple[float, int]:
-    """Fold a block of scan totals into the running maximum, as taking them
-    one by one would: a total above the maximum by more than 1e-12 becomes
-    the maximum and restarts the ties, one within 1e-12 of it is a tie.
+    """Fold scan leaves into the running maximum, as taking them one by one
+    would: a total above the maximum by more than 1e-12 becomes the maximum
+    and restarts the ties, one within 1e-12 of it is a tie.
 
-    ``kept`` holds the positions (the block starts at ``offset``) of the
-    first ``_MAX_KEPT`` ties; returns the new maximum and tie count.
+    ``where`` holds the leaves' policy positions, increasing; ``kept`` holds
+    the positions of the first ``_MAX_KEPT`` ties.  Returns the new maximum
+    and tie count.  A rise lies above every total before it, so the rises
+    are sought among the running-maximum records alone, whose values
+    increase: one binary search per rise.
     """
     rises = np.flatnonzero(total > best + 1e-12)
     since = 0
-    while rises.size:
-        since = rises[0]
-        best = float(total[since])
+    if rises.size:
+        up = total[rises]
+        records = rises[up >= np.maximum.accumulate(up)]
+        heights = total[records]
+        pick = 0
+        while pick < records.size:
+            since = records[pick]
+            best = float(heights[pick])
+            pick = np.searchsorted(heights, best + 1e-12, side="right")
         kept.clear()
         n_max = 0
-        rises = rises[total[rises] > best + 1e-12]
     ties = since + np.flatnonzero(total[since:] >= best - 1e-12)
-    kept.extend((offset + ties[: _MAX_KEPT - len(kept)]).tolist())
+    kept.extend(where[ties[: _MAX_KEPT - len(kept)]].tolist())
     return best, n_max + ties.size
+
+
+def _fold_rows(
+    total: np.ndarray,
+    alive: np.ndarray,
+    start: int,
+    probs: np.ndarray,
+    inv_n: float,
+    best: float,
+    n_max: int,
+    kept: list[int],
+) -> tuple[float, int]:
+    """Fold the last stage of consecutive scan rows, stage-(N - 1) states
+    with success ``total`` and surviving mass ``alive``, into the running
+    maximum, as folding all their leaves would.
+
+    Row ``start + r`` has one leaf per last-stage probability in ``probs``
+    (which holds 1.0), at position (start + r) * len(probs) + option.  Only
+    the rows whose q = 1 leaf can still rise or tie are expanded, in groups
+    of at most ``_BLOCK // 4`` leaves.  Returns the new maximum and tie
+    count.
+    """
+    # The q = 1 leaf, bit for bit total + alive * inv_n, is a row's largest
+    # (q <= 1, alive >= 0 and rounding is monotone).  The running maximum is
+    # within 1e-12 of every leaf before it, so a rise or tie lies within
+    # 2e-12 of each earlier q = 1 leaf (3e-12 leaves room for rounding) and
+    # within 1e-12 of the maximum carried in.
+    base = probs.size
+    top = total + alive * inv_n
+    bar = np.maximum(np.maximum.accumulate(top) - 3e-12, best - 1e-12)
+    live = np.flatnonzero(top >= bar)
+    group = max(_BLOCK // 4 // base, 1)
+    for at in range(0, live.size, group):
+        row = live[at : at + group, None]
+        leaves = total[row] + alive[row] * probs * inv_n
+        where = (start + row) * base + np.arange(base)
+        best, n_max = _fold_maximum(leaves.ravel(), where.ravel(), best, n_max, kept)
+    return best, n_max
 
 
 def _grid_points(cost: float, grid_step: float) -> int:
@@ -345,10 +395,17 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     Policies that share their first s options share the recursion state
     after stage s, so the stage recursion runs once per prefix: over every
     prefix of the first N - t stages, then over each chunk of those
-    prefixes expanded by the last t stages, where t is the longest tail
-    with base**t <= ``_BLOCK // 4`` policies (base options per stage).  The
-    chunks bound the leaves held at once; the head holds base**(N - t)
-    states, at most 28,561 (N = 3, base 169) within the budget.
+    prefixes expanded by the next t - 1 stages, where t is the longest tail
+    with base**(t - 1) <= ``_BLOCK // 4`` states (base options per stage).
+    The chunks bound the states held at once; the head holds base**(N - t)
+    states, at most 729 (N = 7, base 9) within the budget.
+
+    The last stage is bounded rather than run for every policy
+    (``_fold_rows``): each stage-(N - 1) state's q = 1 leaf is its largest,
+    and a skipped leaf lies provably more than 1e-12 below the fold's
+    running maximum, so it can be neither a rise nor a tie.  The maximum,
+    the ties and the kept maximizers are those of folding every policy, and
+    every gridded policy is still covered.
     """
     if config.n_applicants > 8:
         raise ValueError("optimality_scan supports at most 8 applicants")
@@ -377,27 +434,27 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
 
     # Policy p is the p-th combination of itertools.product(options,
     # repeat=N): its option at stage s is digit s of p in base len(options).
-    # The recursion holds about eight arrays with one entry per policy in
-    # the chunk, so a quarter of _BLOCK keeps them to about 300 kB.
+    # The recursion holds about eight arrays with one entry per state in the
+    # chunk, so a quarter of _BLOCK keeps them to about 300 kB.
     weights = [base ** (n_apps - s) for s in range(1, n_apps + 1)]
     option_reveals = np.array([learn for learn, _ in options])
     option_probs = np.array([q for _, q in options])
     inv_n = 1.0 / n_apps
     width = _BLOCK // 4
-    tail = 0
-    while tail < n_apps and base ** (tail + 1) <= width:
+    tail = 1
+    while tail < n_apps and base**tail <= width:
         tail += 1
-    leaves = base**tail
-    chunk = width // leaves
+    rows = base ** (tail - 1)
+    chunk = width // rows
     prefixes = (np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1))
     for _ in range(n_apps - tail):
         prefixes = _expand(prefixes, option_reveals, option_probs, inv_n)
     best, n_max, kept = -1.0, 0, []
     for lo in range(0, prefixes[0].size, chunk):
         state = tuple(x[lo : lo + chunk] for x in prefixes)
-        for _ in range(tail):
+        for _ in range(tail - 1):
             state = _expand(state, option_reveals, option_probs, inv_n)
-        best, n_max = _fold_maximum(state[1], lo * leaves, best, n_max, kept)
+        best, n_max = _fold_rows(*state[1:], lo * rows, option_probs, inv_n, best, n_max, kept)
 
     dp_success = solve_values(config, tables=False).success_probability
     eq_success = policy_success_probability(config, StrategyProfile.equilibrium(config))

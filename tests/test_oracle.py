@@ -449,19 +449,19 @@ class TestScanAgainstProductLoop:
     @staticmethod
     def assert_same(config, grid_step):
         best, n_max, kept, hits = scan_reference(config, grid_step)
-        fold, chunks = oracle._fold_maximum, []
+        fold, seen = oracle._fold_maximum, []
 
-        def spy(total, offset, *args):
-            chunks.append((offset, total.size))
-            return fold(total, offset, *args)
+        def spy(total, where, *args):
+            seen.extend(where.tolist())
+            return fold(total, where, *args)
 
         with mock.patch.object(oracle, "_fold_maximum", spy):
             report = optimality_scan(config, grid_step)
-        # the chunks hand every policy to the fold once, in order
-        ends = list(itertools.accumulate(size for _, size in chunks))
-        assert [offset for offset, _ in chunks] == [0, *ends[:-1]]
+        # every rise and tie reaches the fold, and in order
+        assert set(hits) <= set(seen)
+        assert all(a < b for a, b in itertools.pairwise(seen))
         base = 2 * len(grid_loop(config.cost, grid_step)) + 1
-        assert ends[-1] == report.n_policies == base**config.n_applicants
+        assert report.n_policies == base**config.n_applicants
         assert report.max_success == best and type(report.max_success) is float
         assert report.n_maximizers == n_max
         assert [(p.learning, p.accept_probs) for p in report.maximizers] == kept
@@ -478,10 +478,64 @@ class TestScanAgainstProductLoop:
             while lo < len(totals):
                 size = rand.randint(1, 400)
                 block = np.array(totals[lo : lo + size])
-                got_best, got_n = oracle._fold_maximum(block, lo, got_best, got_n, got_kept)
+                where = np.arange(lo, lo + block.size)
+                got_best, got_n = oracle._fold_maximum(block, where, got_best, got_n, got_kept)
                 lo += size
             assert (got_best, got_n, got_kept) == (best, n_max, kept)
             assert type(got_best) is float
+
+    def test_row_filter_matches_one_by_one_on_near_ties(self, monkeypatch):
+        # rows whose q = 1 leaves sit 5e-13 apart (on the grid or off it)
+        # around a slowly rising level, with surviving masses from 0 to far
+        # above the 1e-12 margin, so that rows near every bar are kept and
+        # skipped
+        monkeypatch.setattr(oracle, "_BLOCK", 256)
+        probs = np.array([0.25, 0.5, 0.75, 1.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+        inv_n = 1.0 / 4
+        fold, folded = oracle._fold_maximum, []
+
+        def spy(total, *args):
+            folded.append(total.size)
+            return fold(total, *args)
+
+        monkeypatch.setattr(oracle, "_fold_maximum", spy)
+        rand = random.Random(496)
+        for _ in range(20):
+            alive = np.array([rand.choice([0.0, 1e-12, 6e-12, 0.4]) for _ in range(600)])
+            jitter = rand.choice([0.0, 5e-13])
+            level = np.array([
+                0.5 + (i // 30 + rand.randint(-4, 4)) * 5e-13 + rand.uniform(0.0, jitter)
+                for i in range(600)
+            ])
+            total = level - alive * inv_n
+            leaves = [t + a * q * inv_n for t, a in zip(total, alive) for q in probs]
+            best, n_max, kept, _ = one_by_one(leaves)
+            got_best, got_n, got_kept, lo = -1.0, 0, [], 0
+            while lo < total.size:
+                size = rand.randint(1, 150)
+                got_best, got_n = oracle._fold_rows(
+                    total[lo : lo + size], alive[lo : lo + size], lo, probs, inv_n,
+                    got_best, got_n, got_kept,
+                )
+                lo += size
+            assert (got_best, got_n, got_kept) == (best, n_max, kept)
+            assert type(got_best) is float
+        assert sum(folded) < 20 * len(leaves) and max(folded) <= 256 // 4
+
+    @pytest.mark.parametrize("block", [4, 28, 1000, None])
+    def test_random_grids(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+        rand = random.Random(2025 + (block or 0))
+        for _ in range(8):
+            n_apps = rand.randint(2, 4)
+            while True:
+                cost = rand.choice([0.0, round(rand.uniform(0.0, 0.9), 3)])
+                grid_step = rand.uniform(0.01, 0.25)
+                base = 2 * len(grid_loop(cost, grid_step)) + 1
+                if base**n_apps <= 20000:
+                    break
+            self.assert_same(GameConfig(n_apps, cost), grid_step)
 
     @pytest.mark.parametrize(
         "n_apps, cost, grid_step",
