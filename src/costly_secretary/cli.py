@@ -64,19 +64,17 @@ def _row(fmt: str, cells: Iterable[str]) -> str:
 
 
 def _document(fmt: str, columns: Iterable[str], meta: dict, rows: Iterable[str]) -> Iterator[str]:
-    """The whole output around rows made by _row: the CSV header, or the
-    bytes of ``{"meta": meta, "rows": [...]}`` encoded with indent=2, where
-    the first row drops the separator that leads it."""
+    """The whole output around rows made by _row, of which there is at
+    least one: the CSV header, or the bytes of ``{"meta": meta, "rows":
+    [...]}`` encoded with indent=2, where the first row drops the separator
+    that leads it."""
     if fmt == "json":
         head = json.JSONEncoder(indent=2, allow_nan=False).encode({"meta": meta})
         head, end = head[: -len("\n}")] + ',\n  "rows": [', "\n  ]\n}\n"
     else:
         head, end = _row(fmt, columns), ""
     rows = iter(rows)
-    first = next(rows, None)
-    if first is None:  # an empty JSON list closes on the head's line
-        yield head + end.lstrip()
-        return
+    first = next(rows)
     # only a JSON row has a separator to drop: a CSV row may begin with an empty cell
     yield head + (first[1:] if fmt == "json" else first)
     yield from rows
@@ -157,7 +155,7 @@ def _emit(rows: Sequence[dict], meta: dict, args: argparse.Namespace) -> None:
     else:
         cells = (map(_fmt, row.values()) for row in rows)
     pieces = (_row(args.format, c) for c in cells)
-    _write(_document(args.format, rows[0] if rows else (), meta, pieces), args)
+    _write(_document(args.format, rows[0], meta, pieces), args)
 
 
 def _meta(args: argparse.Namespace, **extra) -> dict:
@@ -269,16 +267,17 @@ def _run_oracle(args: argparse.Namespace) -> int:
     tolerance = args.tolerance
     if not 0.0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    # The scan checks its grid before any work; run it first so that a bad
-    # --grid-step fails fast, and report its outcome after the other rows.
-    # An instance too large to enumerate fails next, before any O(N) work.
+    # An instance too large to enumerate fails first, before any work of
+    # size N.  The scan checks its grid and budget before any work; run it
+    # next so that a bad --grid-step fails fast, and report its outcome
+    # after the other rows.
+    ExactEvaluation.require_enumerable(config)
     scan = None
     if args.grid_step is not None:
         try:
             scan = optimality_scan(config, args.grid_step)
         except VerificationError as exc:
             scan = exc
-    ExactEvaluation.require_enumerable(config)
     dp = solve_values(config, tables=False).success_probability
     tau_closed = expected_stopping_time(config)
     closed = tau_closed / config.n_applicants

@@ -312,23 +312,21 @@ def _descend(
         top -= done
         if done < size:
             break
-    # The head stages, one at a time: the same operations whether stored or not.
+    # The head stages, one at a time: the same operations whether stored or
+    # not.  The max never picks the floor here: the first head stage is the
+    # one whose max stopped the block above, and below it v0 only grows.
     if v0 is not None:
         out0 = memoryview(v0)
         out1 = memoryview(v1)
         for n in range(top, stop, -1):
             prev0 = prev1 / n + prev0
             prev1 = pay + keep * prev0
-            if prev1 < floor:
-                prev1 = floor
             out0[n] = prev0
             out1[n] = prev1
     else:
         for n in range(top, stop, -1):
             prev0 = prev1 / n + prev0
             prev1 = pay + keep * prev0
-            if prev1 < floor:
-                prev1 = floor
     return prev0, prev1
 
 

@@ -20,11 +20,12 @@ scan that looks for anything beating the solved policy.  The scan shares
 the recursion between policies with the same leading options: it runs the
 leading stages once per prefix and the later ones, up to the last but one,
 per chunk of at most ``_BLOCK // 4`` states, so it holds at most 729
-prefix states and one chunk whatever the grid.  The last stage is bounded
-before it is run: each stage-(N - 1) state's q = 1 leaf is its largest, so
-only the states whose q = 1 leaf can still rise or tie have their leaves
-computed and folded, and a skipped leaf lies provably more than 1e-12 below
-the fold's running maximum.  The scan still covers every gridded policy."""
+prefix states and one chunk whatever the grid and size.  The last stage is
+bounded before it is run: each stage-(N - 1) state's q = 1 leaf is its
+largest, so only the states whose q = 1 leaf can still rise or tie have
+their leaves computed and folded, and a skipped leaf lies provably more
+than 1e-12 below the fold's running maximum.  The scan still covers every
+gridded policy."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -232,22 +233,11 @@ def policy_success_probability(config: GameConfig, policy: PolicySpec | Strategy
     in the test suite.
     """
     reveals, probs = policy.plan(config)
-    stages = zip(reveals, [float(q) for q in probs])
-    return float(_stage_recursion(stages, config.n_applicants))
-
-
-def _stage_recursion(stages: Iterable[tuple], n_apps: int) -> float | np.ndarray:
-    """Success probability of (reveals, acceptance probability) stages.
-
-    With numpy arrays as the stages it runs one policy per entry, each
-    taking the same float operations in the same order: a blind stage with
-    probability 0 adds +0.0 and multiplies by 1.0, which changes no bits.
-    """
-    inv_n = 1.0 / n_apps
+    inv_n = 1.0 / config.n_applicants
     state = (0, 0.0, 1.0)
-    for reveals, q in stages:
-        state = _stage_step(state, reveals, q, inv_n)
-    return state[1]
+    for reveal, q in zip(reveals, probs):
+        state = _stage_step(state, reveal, float(q), inv_n)
+    return float(state[1])
 
 
 def _stage_step(state: tuple, reveals, q, inv_n: float) -> tuple:
@@ -389,8 +379,9 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     any scanned policy exceeds the solved success probability by more than
     1e-12 or if the solved policy misses the scan maximum, and ValueError if
     the grid holds more than ``_MAX_POLICIES`` policies (counted before
-    anything is built).  A grid scan is evidence, not proof: deviations off
-    the grid are not examined.
+    anything is built), the one limit on N too: at most 14, at base 3.  A
+    grid scan is evidence, not proof: deviations off the grid are not
+    examined.
 
     Policies that share their first s options share the recursion state
     after stage s, so the stage recursion runs once per prefix: over every
@@ -398,7 +389,9 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     prefixes expanded by the next t - 1 stages, where t is the longest tail
     with base**(t - 1) <= ``_BLOCK // 4`` states (base options per stage).
     The chunks bound the states held at once; the head holds base**(N - t)
-    states, at most 729 (N = 7, base 9) within the budget.
+    states, fewer than ``_MAX_POLICIES`` / (``_BLOCK // 4``) since
+    base**t > ``_BLOCK // 4`` whenever t < N, and at most 729 within the
+    budget (N = 7 at base 9, N = 14 at base 3).
 
     The last stage is bounded rather than run for every policy
     (``_fold_rows``): each stage-(N - 1) state's q = 1 leaf is its largest,
@@ -407,8 +400,6 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     the ties and the kept maximizers are those of folding every policy, and
     every gridded policy is still covered.
     """
-    if config.n_applicants > 8:
-        raise ValueError("optimality_scan supports at most 8 applicants")
     grid_step = float(grid_step)
     if not 0.0 < grid_step <= 0.25:
         raise ValueError(f"grid_step must lie in (0, 0.25], got {grid_step}")

@@ -301,7 +301,7 @@ class TestOracleCommand:
             (["--n", "8", "--grid-step", "0.3"],
              "error: grid_step must lie in (0, 0.25], got 0.3\n"),
             (["--n", "9", "--grid-step", "0.25"],
-             "error: optimality_scan supports at most 8 applicants\n"),
+             "error: scan would evaluate 2357947691 policies, over the budget of 5000000\n"),
         ],
     )
     def test_bad_grid_step_fails_before_enumeration(
@@ -316,16 +316,22 @@ class TestOracleCommand:
         assert out == ""
         assert err == message
 
-    @pytest.mark.parametrize("n_apps", ["11", "1000000000"])
-    def test_unenumerable_size_fails_before_any_solve(self, capsys, monkeypatch, n_apps):
-        # the size is refused before the DP, the closed form or the solved
-        # plan runs: each is O(N), about 120 MB at N = 1e6
+    @pytest.mark.parametrize(
+        "argv",
+        [["--n", "11"], ["--n", "1000000000"], ["--n", "11", "--grid-step", "0.25"]],
+        ids=["11", "1000000000", "11-scan"],
+    )
+    def test_unenumerable_size_fails_before_any_solve(self, capsys, monkeypatch, argv):
+        # the size is refused before the scan, and before the DP, the
+        # closed form or the solved plan runs: each is O(N), about 120 MB
+        # at N = 1e6
         def forbidden(*args, **kwargs):
             raise AssertionError("solved before checking the enumeration size")
 
-        for name in ("solve_values", "expected_stopping_time", "exact_evaluation"):
+        names = ("solve_values", "expected_stopping_time", "exact_evaluation", "optimality_scan")
+        for name in names:
             monkeypatch.setattr(cli, name, forbidden)
-        code, out, err = capture(capsys, ["oracle", "--n", n_apps, "--cost", "0.1"])
+        code, out, err = capture(capsys, ["oracle", *argv, "--cost", "0.1"])
         assert code == 2
         assert out == ""
         assert err == "error: enumeration supports at most 10 applicants\n"
@@ -563,14 +569,13 @@ class TestStreamedTables:
     @pytest.mark.parametrize(
         "rows",
         [
-            [],
             [{"a": 1}],
             [
                 {"s": 'x, "y",\n      z', "u": "\u00e9\u2264", "none": None, "f": -0.0},
                 {"s": "}{][", "u": "", "none": None, "f": 1e-300},
             ],
         ],
-        ids=["empty", "one", "strings"],
+        ids=["one", "strings"],
     )
     def test_json_rows_stream_as_one_document(self, capsys, rows):
         meta = {"tool": "costly-secretary", "note": "a, b: c"}
@@ -656,7 +661,7 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith(
             "error: out of memory (the stage rules and plan for n_applicants=100000 "
-            "need 9600000 bytes, more than the "
+            "need 3200000 bytes, more than the "
         )
         monkeypatch.undo()
         assert capture(capsys, argv)[0] == 0

@@ -223,10 +223,19 @@ class TestOptimalityScan:
             optimality_scan(GameConfig(3, 0.0), grid_step=1e-300)
         with pytest.raises(ValueError, match=r"over 2\*\*1023 grid points"):
             optimality_scan(GameConfig(2, 0.0), grid_step=5e-324)
-        with pytest.raises(ValueError):
+        # the budget alone bounds the size: 11**9 policies at N = 9
+        with pytest.raises(ValueError, match="evaluate 2357947691 policies, over the budget"):
             optimality_scan(GameConfig(9, 0.2), grid_step=0.25)
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(3, 0.2), grid_step=0.3)
+
+    def test_nine_applicants_within_the_budget(self):
+        # one grid point, base 5: 5**9 policies, under the budget
+        cfg = GameConfig(9, 0.9)
+        report = optimality_scan(cfg, grid_step=0.25)
+        assert report.n_policies == 5**9
+        dp = solve_values(cfg, tables=False).success_probability
+        assert abs(report.max_success - dp) <= 1e-12
 
 
 def flat_walk(reveals, probs, stage=1, state=1):

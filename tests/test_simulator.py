@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,12 +72,25 @@ class TestProfiles:
             os, "sysconf", lambda name: 100 if name == "SC_PHYS_PAGES" else real(name)
         )
         big = GameConfig(10**5, 0.1)
-        with pytest.raises(MemoryError, match="n_applicants=100000 need 9600000 bytes"):
+        with pytest.raises(MemoryError, match="n_applicants=100000 need 3200000 bytes"):
             StrategyProfile.equilibrium(big)
         monkeypatch.undo()
         # where the host memory is unknown, the check is skipped
         monkeypatch.setattr(os, "sysconf_names", {})
         assert len(StrategyProfile.equilibrium(big).stages) == 10**5
+
+    @pytest.mark.parametrize("n_apps", [10**5, 10**6])
+    def test_plan_peak_is_within_the_refusal_bound(self, n_apps):
+        # the memory refusal counts _PLAN_BYTES per stage for the solved
+        # profile and its plan, so their traced peak must not exceed it
+        cfg = GameConfig(n_apps, 0.1)
+        tracemalloc.start()
+        try:
+            StrategyProfile.equilibrium(cfg).plan(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulator._PLAN_BYTES * n_apps
 
     def test_admin_acceptance_mapping(self):
         cfg = GameConfig(4, 0.3)
