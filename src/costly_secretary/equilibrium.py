@@ -4,14 +4,13 @@ An administrator interviews N applicants in uniformly random order and wants
 to hire the overall best.  Completing an interview costs each applicant a
 fraction ``cost`` of the job's value, so a current-best applicant only shows
 their ability when the acceptance probability covers the cost.  This module
-computes the threshold stage, the per-stage continuation values, the
-resulting acceptance plan, and closed forms for the success probability
-and the expected length of search.
+computes the threshold stage, the per-stage continuation values, and closed
+forms for the success probability and the expected length of search; the
+acceptance plan they solve for is ``simulator.StrategyProfile.equilibrium``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -27,7 +26,6 @@ __all__ = [
     "compute_threshold",
     "compute_threshold_sequence",
     "solve_values",
-    "equilibrium_accept_probs",
     "record_survival_product",
     "closed_form_success",
     "expected_stopping_time",
@@ -75,15 +73,14 @@ class GameConfig:
 # Stages per vectorized block: bounds the temporaries of solve_values,
 # record_survival_product and _reciprocal_total to a few hundred kB whatever N is.
 _BLOCK = 1 << 14
-# compute_threshold reads N below this size from one cached
-# compute_threshold_sequence table (about 50 us to build, once per process)
-# and estimates the tail sums from it on: there the first omitted
-# Euler-Maclaurin term, 1/(252 m^6) at m ~ N/e, is below 1e-17.  An estimate
-# that does not clear _THRESHOLD_MARGIN falls back to the exact tail sum.
-_ESTIMATE_MIN_N = 1000
-# The estimate errs by under ~1e-15 and the exact tail sum by under ~3e-16
-# (the roundings of each 1.0/k and of the total), so a comparison against 1
-# that clears this margin comes out the same in both.
+# Graham-Knuth-Patashnik (9.89): H_m = ln m + gamma + 1/(2m) - 1/(12m^2)
+# + 1/(120m^4) - eps with 0 < eps < 1/(252 m^6), so _tail_estimate(N, n)
+# errs from the real tail sum by under 1/(252 (n-1)^6) plus its roundings,
+# which stay under ~1e-15; the exact tail sum errs by under ~3e-16 (the
+# roundings of each 1.0/k and of the total).  compute_threshold certifies
+# n against 1 with this margin plus 1/(252 (n-2)^6), which covers the
+# estimates of both T(n) and T(n-1), so a comparison that clears it comes
+# out the same in the estimate and in the exact sum.
 _THRESHOLD_MARGIN = 1e-12
 # The exact tail sum of the fallback runs once over about 0.63 N terms
 # (about 7 s at N = 1e9 on a 2-core host); above this size
@@ -115,17 +112,16 @@ def _tail_estimate(n_apps: int, n: int) -> float:
 def compute_threshold(n_applicants: int) -> int:
     """First stage from which a current-best applicant is accepted outright.
 
-    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1, by one of three routes:
+    Returns the least n with sum_{k=n}^{N-1} 1/k <= 1, by one of two routes:
 
-    - N < 1000: entry N of compute_threshold_sequence(999), built on the
-      first such call and kept for the life of the process.
-    - N >= 1000: the tail sums near N/e are estimated in O(1) by the
-      Euler-Maclaurin expansion of the harmonic numbers, stepping n until
-      T(n) <= 1 < T(n-1); that n is returned only when both estimates clear
-      1 by _THRESHOLD_MARGIN (1e-12), over 1000 times the combined error of
-      the estimate and of the exact sums below, so the answer is theirs.  The
-      margin is cleared up to about N = 1e11, and from about 1e12 on (1/n*
-      nears it) it is not.
+    - The tail sums near N/e are estimated in O(1) by the Euler-Maclaurin
+      expansion of the harmonic numbers, stepping n until T(n) <= 1 <
+      T(n-1); that n is returned only when both estimates clear 1 by
+      _THRESHOLD_MARGIN (1e-12) plus 1/(252 (n-2)^6), more than the
+      combined error of the estimate and of the exact sums below, so the
+      answer is theirs.  Up to N = 1e6 only N <= 4 miss the margin; a few
+      larger sizes whose tail sum lies that close to 1 miss it too (N =
+      15,872,517 is one), and from about 1e12 on (1/n* nears it) all do.
     - An estimate that does not clear the margin: n is stepped the same way
       on the tail sums of the doubles 1.0/k, each correctly rounded once
       (the exact integer total of _reciprocal_total, which the closed form
@@ -135,8 +131,6 @@ def compute_threshold(n_applicants: int) -> int:
       N = 1e9: above it, an undecided estimate raises ValueError instead.
     """
     n_applicants = _as_count(n_applicants, 2, "n_applicants")
-    if n_applicants < _ESTIMATE_MIN_N:
-        return _small_thresholds(_ESTIMATE_MIN_N - 1)[n_applicants]
     # the estimate brackets n >= 3 only (T(n-1) needs n-1 >= 2); the exact
     # sums settle the smaller thresholds, of N <= 4
     n = max(int((n_applicants - 1) / math.e) + 1, 3)
@@ -144,15 +138,16 @@ def compute_threshold(n_applicants: int) -> int:
         n += 1
     while n > 3 and _tail_estimate(n_applicants, n - 1) <= 1.0:
         n -= 1
+    margin = _THRESHOLD_MARGIN + 1 / (252 * (n - 2) ** 6)
     if (
-        _tail_estimate(n_applicants, n) <= 1.0 - _THRESHOLD_MARGIN
-        and _tail_estimate(n_applicants, n - 1) > 1.0 + _THRESHOLD_MARGIN
+        _tail_estimate(n_applicants, n) <= 1.0 - margin
+        and _tail_estimate(n_applicants, n - 1) > 1.0 + margin
     ):
         return n
     if n_applicants > _LOOP_MAX_N:
         raise ValueError(
             f"cannot settle the threshold for n_applicants={n_applicants}: "
-            f"its tail-sum estimate is within {_THRESHOLD_MARGIN:g} of 1, and "
+            f"its tail-sum estimate is within {margin:g} of 1, and "
             f"the exact sum would take about {0.63 * n_applicants:.1e} steps "
             f"(it is run only up to n_applicants={_LOOP_MAX_N})"
         )
@@ -170,11 +165,6 @@ def compute_threshold(n_applicants: int) -> int:
         n -= 1
         total += term(n)
     return n
-
-
-@functools.cache
-def _small_thresholds(max_applicants: int) -> tuple[int, ...]:
-    return tuple(compute_threshold_sequence(max_applicants).tolist())
 
 
 def compute_threshold_sequence(max_applicants: int) -> np.ndarray:
@@ -328,21 +318,6 @@ def _descend(
             prev0 = prev1 / n + prev0
             prev1 = pay + keep * prev0
     return prev0, prev1
-
-
-def equilibrium_accept_probs(config: GameConfig) -> list[float]:
-    """Record-acceptance probability of the solved plan at stages 1..N.
-
-    A current best before the threshold stage is accepted with the minimum
-    probability that still makes completing the interview worthwhile (the
-    cost); from the threshold stage on it is accepted outright.  Any other
-    output is never accepted.
-    """
-    n_star = compute_threshold(config.n_applicants)
-    return [
-        config.cost if n < n_star else 1.0
-        for n in range(1, config.n_applicants + 1)
-    ]
 
 
 def record_survival_product(n: int, cost: float) -> float:

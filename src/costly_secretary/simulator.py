@@ -103,9 +103,10 @@ class StrategyProfile:
 
     @classmethod
     def equilibrium(cls, config: GameConfig) -> "StrategyProfile":
-        """The solved full-learning profile, the stages of
-        ``equilibrium_accept_probs``: accept a current best with probability
-        cost before the threshold stage and outright from it on.  The stages
+        """The solved full-learning profile: accept a current best with
+        probability cost before the threshold stage and outright from it on,
+        and never accept any other applicant.  ``plan(config)[1]`` is the
+        plan's acceptance probability at each stage 1..N.  The stages
         share one frozen rule per probability.  Once the threshold is known,
         a size whose rules and plan (see ``plan``) would not fit in physical
         memory raises MemoryError before either is built."""

@@ -18,7 +18,6 @@ from costly_secretary import (
     compute_threshold,
     compute_threshold_sequence,
     convergence_report,
-    equilibrium_accept_probs,
     estimate,
     exact_evaluation,
     exact_success_probability,
@@ -79,7 +78,7 @@ def stopping_time_by_recursion(cfg):
     accepts only records.
     """
     t0 = 0.0
-    probs = equilibrium_accept_probs(cfg)
+    probs = StrategyProfile.equilibrium(cfg).plan(cfg)[1]
     for n in range(cfg.n_applicants, 0, -1):
         q = probs[n - 1]
         t1 = q * n + (1 - q) * t0

@@ -24,7 +24,6 @@ PUBLIC = [
     "compute_threshold",
     "compute_threshold_sequence",
     "convergence_report",
-    "equilibrium_accept_probs",
     "estimate",
     "exact_evaluation",
     "exact_state_value",

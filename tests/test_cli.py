@@ -14,10 +14,10 @@ import pytest
 
 from costly_secretary import (
     GameConfig,
+    StrategyProfile,
     ValueTables,
     __version__,
     closed_form_success,
-    equilibrium_accept_probs,
     expected_stopping_time,
     limit_constant,
     solve_values,
@@ -429,7 +429,7 @@ def _reference_tables(n_apps: int, cost: float, fmt: str) -> str:
             "v1": float(tables.v1[n]),
             "accept_record": q,
         }
-        for n, q in enumerate(equilibrium_accept_probs(config), start=1)
+        for n, q in enumerate(StrategyProfile.equilibrium(config).plan(config)[1], start=1)
     ]
     if fmt == "json":
         meta = {"tool": "costly-secretary", "version": __version__, "command": "solve"}
@@ -721,6 +721,50 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("n,cost,n_star")
+
+
+def _glibc_version() -> tuple[int, ...]:
+    try:
+        name, version = (os.confstr("CS_GNU_LIBC_VERSION") or "").split()
+    except (AttributeError, ValueError):
+        return ()
+    return tuple(map(int, version.split(".")[:2])) if name == "glibc" else ()
+
+
+_MAPPED_AFTER_A_COMMAND = """
+import contextlib, ctypes, io
+from costly_secretary import cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["solve", "--n", "10", "--cost", "0.1"])
+buf = bytearray(8 << 20)
+del buf
+before = mallinfo2().hblkhd
+buf = bytearray(4 << 20)
+print(mallinfo2().hblkhd - before)
+"""
+
+
+@pytest.mark.skipif(_glibc_version() < (2, 33), reason="needs glibc's mallinfo2")
+def test_large_buffers_stay_mapped_after_a_command():
+    # By default glibc raises its mmap threshold to the size of each mapped
+    # block freed, so the 4 MB buffer would come from the heap after the
+    # 8 MB one is freed; main pins the threshold at 1 MiB.
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAPPED_AFTER_A_COMMAND],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 4 << 20
 
 
 def test_unsettled_threshold_is_a_usage_error():

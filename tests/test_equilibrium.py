@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from costly_secretary import (
     GameConfig,
+    StrategyProfile,
     closed_form_success,
     compute_threshold,
     compute_threshold_sequence,
-    equilibrium_accept_probs,
     expected_stopping_time,
     record_survival_product,
     solve_values,
@@ -91,9 +91,8 @@ class TestComputeThreshold:
         assert compute_threshold(10**9) == 367879442
 
     def test_fallback_matches_rational_and_kahan_references(self, monkeypatch):
-        # every size is estimated, and no estimate clears an infinite margin,
-        # so every call settles n* with the exact tail sums
-        monkeypatch.setattr(equilibrium, "_ESTIMATE_MIN_N", 2)
+        # no estimate clears an infinite margin, so every call settles n*
+        # with the exact tail sums
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         for n in range(2, 5001):
             assert compute_threshold(n) == kahan_threshold(n), n
@@ -105,7 +104,6 @@ class TestComputeThreshold:
         # an estimate shifted by 0.01 starts the exact sums several stages
         # below or above n*, and they must step there
         estimate = equilibrium._tail_estimate
-        monkeypatch.setattr(equilibrium, "_ESTIMATE_MIN_N", 2)
         monkeypatch.setattr(equilibrium, "_THRESHOLD_MARGIN", math.inf)
         monkeypatch.setattr(
             equilibrium, "_tail_estimate", lambda n_apps, n: estimate(n_apps, n) + shift
@@ -167,9 +165,38 @@ class TestComputeThreshold:
         with pytest.raises(ValueError):
             compute_threshold(True)
 
+    def test_tail_estimate_within_its_error_bound(self):
+        # Graham-Knuth-Patashnik (9.89) bounds the omitted terms of the
+        # harmonic numbers by 1/(252 m^6): the bound the margin rests on
+        harmonic = [Fraction(0)]
+        for k in range(1, 400):
+            harmonic.append(harmonic[-1] + Fraction(1, k))
+        for n_apps in range(3, 401):
+            n_star = exact_threshold(n_apps)
+            for n in range(max(n_star - 1, 3), min(n_star + 1, n_apps - 1) + 1):
+                tail = harmonic[n_apps - 1] - harmonic[n - 1]
+                error = abs(Fraction(equilibrium._tail_estimate(n_apps, n)) - tail)
+                assert error <= Fraction(1, 252 * (n - 1) ** 6) + Fraction(1e-15), (n_apps, n)
+
+    def test_estimate_decides_every_size_from_five(self, monkeypatch):
+        # a margin so wide that small sizes fall back to the exact tail sum
+        # would show here: only N <= 4, whose n* the estimate cannot bracket,
+        # sum it
+        reciprocal_total = equilibrium._reciprocal_total
+        summed = []
+
+        def spy(*points):
+            summed.append(points[-1])
+            return reciprocal_total(*points)
+
+        monkeypatch.setattr(equilibrium, "_reciprocal_total", spy)
+        for n in range(2, 1000):
+            compute_threshold(n)
+        assert summed == [2, 3, 4]
+
     def test_sequence_agrees_with_single_calls(self):
-        seq = compute_threshold_sequence(500)
-        for n in range(2, 501):
+        seq = compute_threshold_sequence(5000)
+        for n in range(2, 5001):
             assert seq[n] == compute_threshold(n)
         seq = compute_threshold_sequence(10**6)
         rng = random.Random(6)
@@ -365,22 +392,28 @@ class TestSolveValues:
         assert math.copysign(1.0, GameConfig(10, -0.0).cost) == 1.0
 
 
+def solved_plan(cfg):
+    """The acceptance probability of the solved plan at each stage 1..N."""
+    return StrategyProfile.equilibrium(cfg).plan(cfg)[1]
+
+
 class TestBuildPolicy:
-    """The solved plan, equilibrium_accept_probs, at stages 1..N."""
+    """The solved plan, StrategyProfile.equilibrium(cfg).plan(cfg)[1], at
+    stages 1..N."""
 
     def test_three_applicants_half_cost(self):
-        assert equilibrium_accept_probs(GameConfig(3, 0.5)) == [0.5, 1.0, 1.0]
+        assert solved_plan(GameConfig(3, 0.5)) == [0.5, 1.0, 1.0]
 
     def test_two_applicants_no_cost(self):
-        assert equilibrium_accept_probs(GameConfig(2, 0.0)) == [1.0, 1.0]
+        assert solved_plan(GameConfig(2, 0.0)) == [1.0, 1.0]
 
     def test_ten_applicants(self):
-        accept = equilibrium_accept_probs(GameConfig(10, 0.1))
+        accept = solved_plan(GameConfig(10, 0.1))
         assert accept == [0.1] * 3 + [1.0] * 7
 
     def test_incentive_floor(self):
         for cost in COST_GRID:
-            accept = equilibrium_accept_probs(GameConfig(30, cost))
+            accept = solved_plan(GameConfig(30, cost))
             assert min(accept) >= cost
 
 
@@ -618,7 +651,7 @@ class TestClosedForms:
             assert closed_form_success(GameConfig(n_apps, 0.0)) == pytest.approx(
                 classic, abs=1e-12
             )
-            accept = equilibrium_accept_probs(GameConfig(n_apps, 0.0))
+            accept = solved_plan(GameConfig(n_apps, 0.0))
             assert accept == [0.0] * (n_star - 1) + [1.0] * (n_apps - n_star + 1)
 
 
@@ -730,6 +763,6 @@ def test_solution_invariants(n_apps, cost):
     assert abs(
         expected_stopping_time(cfg) - n_apps * closed_form_success(cfg)
     ) <= 1e-12
-    accept = equilibrium_accept_probs(cfg)
+    accept = solved_plan(cfg)
     assert accept.index(1.0) == n_star - 1
     assert min(accept) >= cost

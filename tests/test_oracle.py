@@ -15,7 +15,6 @@ from costly_secretary import (
     StrategyProfile,
     VerificationError,
     closed_form_success,
-    equilibrium_accept_probs,
     estimate,
     exact_evaluation,
     exact_state_value,
@@ -316,7 +315,7 @@ class TestPrefixWalk:
                 cfg = GameConfig(n_apps, cost)
                 plan = (
                     [True] * n_apps,
-                    [Fraction(q) for q in equilibrium_accept_probs(cfg)],
+                    [Fraction(q) for q in StrategyProfile.equilibrium(cfg).plan(cfg)[1]],
                 )
                 expected = {}
                 for stage in range(n_apps, 0, -1):

@@ -13,7 +13,7 @@ from costly_secretary import (
     StageRule,
     StrategyProfile,
     closed_form_success,
-    equilibrium_accept_probs,
+    compute_threshold,
     estimate,
     exact_evaluation,
     expected_stopping_time,
@@ -49,7 +49,7 @@ class TestProfiles:
     def test_equilibrium_matches_policy(self):
         cfg = GameConfig(10, 0.1)
         profile = StrategyProfile.equilibrium(cfg)
-        accept = equilibrium_accept_probs(cfg)
+        accept = [0.1] * 3 + [1.0] * 7
         for n in range(1, 11):
             rule = profile.stages[n - 1]
             assert rule.learning
@@ -59,9 +59,9 @@ class TestProfiles:
     def test_equilibrium_shares_one_rule_per_probability(self, n_apps, cost):
         cfg = GameConfig(n_apps, cost)
         profile = StrategyProfile.equilibrium(cfg)
-        per_stage = StrategyProfile(
-            cost=cost, stages=tuple(StageRule(True, q) for q in equilibrium_accept_probs(cfg))
-        )
+        n_star = compute_threshold(n_apps)
+        accept = [cost if n < n_star else 1.0 for n in range(1, n_apps + 1)]
+        per_stage = StrategyProfile(cost=cost, stages=tuple(StageRule(True, q) for q in accept))
         assert len({id(rule) for rule in profile.stages}) <= 2
         assert profile.stages == per_stage.stages
         assert profile.plan(cfg) == per_stage.plan(cfg)
@@ -138,7 +138,7 @@ class TestProfiles:
                 estimate(cfg, profile, 10, seed=0)
         # both plan types share the stage-count check and its message
         four = GameConfig(4, 0.2)
-        policy = PolicySpec(tuple(equilibrium_accept_probs(four)), (True,) * 4)
+        policy = PolicySpec(tuple(StrategyProfile.equilibrium(four).plan(four)[1]), (True,) * 4)
         for plan in (StrategyProfile.equilibrium(four), policy):
             with pytest.raises(ValueError, match="plan has 4 stages, instance has 3 applicants"):
                 plan.plan(cfg)
@@ -341,12 +341,12 @@ class TestIncentiveAudit:
                 # every record acceptance covers the cost, so every stage reveals
                 profile = StrategyProfile.equilibrium(cfg)
                 assert profile.plan(cfg)[0] == [True] * n_apps
-                policy = PolicySpec(tuple(equilibrium_accept_probs(cfg)), (True,) * n_apps)
+                policy = PolicySpec(tuple(profile.plan(cfg)[1]), (True,) * n_apps)
                 assert policy.plan(cfg)[0] == [True] * n_apps
 
     def test_underpaying_record_stage_flagged(self):
         cfg = GameConfig(4, 0.4)
-        probs = list(equilibrium_accept_probs(cfg))
+        probs = StrategyProfile.equilibrium(cfg).plan(cfg)[1]
         probs[1] = 0.2  # cost/2 at a record stage
         with pytest.raises(ValueError, match="stage 2: record acceptance 0.2 is below"):
             PolicySpec(tuple(probs), (True,) * 4).plan(cfg)
