@@ -92,11 +92,12 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
     A float is written as _emit writes it: ``%.17g`` in CSV, and ``%r``, the
     ``float.__repr__`` that the C JSON encoder writes, in JSON, where a
     non-finite value raises ValueError as allow_nan=False does.  The floor
-    1/N, the cost and 1.0 are formatted once: the accept column is the cost
-    before the threshold and 1.0 from it, and the v1 at the end of each
-    block that equal the floor (every v1 from the tail on) are written by a
-    second template that holds the floor's string.  One block of _BLOCK
-    stages becomes Python floats at a time.
+    1/N, the cost and 1.0 are formatted once.  The accept column is one
+    stream for the whole table, the cost before the threshold and 1.0 from
+    it, that the rows of every block consume in row order.  The v1 at the
+    end of each block that equal the floor (every v1 from the tail on) are
+    written by a second template that holds the floor's string.  One block
+    of _BLOCK stages becomes Python floats at a time.
     """
     n_apps = tables.config.n_applicants
     floor = 1.0 / n_apps
@@ -109,13 +110,10 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
         return _row(fmt, cells)
 
     row, floor_row = template(conv), template(conv % floor)
-    cost_s, one_s = conv % tables.config.cost, conv % 1.0
-
-    def accept(lo: int, hi: int) -> Iterator[str]:
-        before = min(max(tables.threshold - lo, 0), hi - lo)
-        return itertools.chain(
-            itertools.repeat(cost_s, before), itertools.repeat(one_s, hi - lo - before)
-        )
+    accept = itertools.chain(
+        itertools.repeat(conv % tables.config.cost, tables.threshold - 1),
+        itertools.repeat(conv % 1.0),
+    )
 
     def block_rows(lo: int) -> Iterator[str]:
         hi = min(lo + _BLOCK, n_apps + 1)
@@ -127,11 +125,8 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
         k = int(not_floor[-1]) + 1 if not_floor.size else 0
         mid = lo + k
         return itertools.chain(
-            map(
-                row.__mod__,
-                zip(range(lo, mid), v0[:k].tolist(), v1[:k].tolist(), accept(lo, mid)),
-            ),
-            map(floor_row.__mod__, zip(range(mid, hi), v0[k:].tolist(), accept(mid, hi))),
+            map(row.__mod__, zip(range(lo, mid), v0[:k].tolist(), v1[:k].tolist(), accept)),
+            map(floor_row.__mod__, zip(range(mid, hi), v0[k:].tolist(), accept)),
         )
 
     rows = itertools.chain.from_iterable(map(block_rows, range(1, n_apps + 1, _BLOCK)))
@@ -326,7 +321,7 @@ def run(args: argparse.Namespace) -> int:
         # devnull so that the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except MemoryError as exc:

@@ -361,11 +361,10 @@ def _reciprocal_total(*points: int) -> tuple[list[int], int]:
         stop = min(start + _BLOCK, points[-1])
         bits = (1.0 / np.arange(start, stop, dtype=np.float64)).view(np.int64)
         exps = bits >> 52
-        segments = np.flatnonzero(np.diff(exps, prepend=0))
         inner = bounds[np.searchsorted(bounds, start) : np.searchsorted(bounds, stop)]
-        if inner.size:
-            segments = np.sort(np.concatenate((segments, inner - start)))
-            segments = segments[np.diff(segments, prepend=-1) != 0]
+        cuts = np.diff(exps, prepend=0) != 0
+        cuts[inner - start] = True
+        segments = np.flatnonzero(cuts)
         intervals = np.searchsorted(bounds, start + segments, "right") - 1
         bits &= (1 << 52) - 1
         bits |= 1 << 52
@@ -458,21 +457,19 @@ def _lockstep_successes(
     stages = np.arange(cut - 1, 0, -1)
     active = np.searchsorted(-sizes, -stages)  # the count of lanes with N > n
     step = np.empty_like(v0)
-    lanes = 0
-    for n, a in zip(stages.tolist(), active.tolist()):
-        if a != lanes:
-            lanes = a
-            x0, x1, t = v0[:a], v1[:a], step[:a]
-            keep_a, pay_a, floor_a = keep[:a], pay[:a], floor[:a]
-        np.divide(x1, n, out=t)
-        np.add(t, x0, out=x0)
-        np.multiply(keep_a, x0, out=t)
-        np.add(pay_a, t, out=t)
-        np.maximum(t, floor_a, out=x1)
-    out = [0.0] * len(order)
-    for i, success in zip(order, v1.tolist()):
-        out[i] = success
-    return out
+    runs = itertools.groupby(zip(stages.tolist(), active.tolist()), operator.itemgetter(1))
+    for a, run in runs:  # slice once per lane count: 15 slices cost as much as a step
+        x0, x1, t = v0[:a], v1[:a], step[:a]
+        keep_a, pay_a, floor_a = keep[:a], pay[:a], floor[:a]
+        for n, _ in run:
+            np.divide(x1, n, out=t)
+            np.add(t, x0, out=x0)
+            np.multiply(keep_a, x0, out=t)
+            np.add(pay_a, t, out=t)
+            np.maximum(t, floor_a, out=x1)
+    out = np.empty(len(order))
+    out[order] = v1
+    return out.tolist()
 
 
 def _acceptance_masses(configs: Sequence[GameConfig], thresholds: dict[int, int]) -> list[float]:

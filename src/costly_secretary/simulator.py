@@ -294,12 +294,12 @@ def _run_batch(
     probs: Sequence[float],
     size: int,
     key: int,
-    lo: int = 0,
-    hi: int | None = None,
+    lo: int,
+    hi: int,
 ) -> tuple[int, int, int, int]:
-    """Simulate trials [lo, hi) (by default all) of a batch of ``size``
-    trials; returns integer totals (successes, acceptances, sum of stopping
-    indices, sum of squared stopping indices).
+    """Simulate trials [lo, hi) of a batch of ``size`` trials; returns
+    integer totals (successes, acceptances, sum of stopping indices, sum of
+    squared stopping indices).
 
     Stage j (from 0) reads the abilities at stream outputs
     [2j·size, (2j+1)·size) and the acceptance uniforms at the next ``size``
@@ -320,7 +320,6 @@ def _run_batch(
     with live_j trials alive at the start of stage j and ``live`` never accepted,
     Σ τ = Σ_j live_j - N·live and Σ τ² = Σ_j (2j+1)·live_j - N²·live.
     """
-    hi = size if hi is None else hi
     m = hi - lo
     bitgen = np.random.Philox(key=key)
     pos = 0  # stream outputs produced so far

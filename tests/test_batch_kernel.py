@@ -180,7 +180,7 @@ def test_kernel_matches_plain_kernel(plan):
     for size in KERNEL_SIZES:
         for key in KERNEL_KEYS:
             want = plain_run_batch(reveals, probs, size, key)
-            assert simulator._run_batch(reveals, probs, size, key) == want, (size, key)
+            assert simulator._run_batch(reveals, probs, size, key, 0, size) == want, (size, key)
 
 
 def test_skip_lands_where_drawing_would():
@@ -255,7 +255,7 @@ def play_crafted(monkeypatch, reveals, probs, abilities, uniforms):
     size = abilities.shape[1]
     words = np.stack([abilities, uniforms], axis=1).reshape(-1)
     monkeypatch.setattr(np.random, "Philox", crafted_philox(words))
-    got = simulator._run_batch(reveals, probs, size, key=0)
+    got = simulator._run_batch(reveals, probs, size, 0, 0, size)
     return got, per_trial_in_doubles(reveals, probs, words, size)
 
 
@@ -321,7 +321,7 @@ def test_slices_sum_to_the_whole_batch(plan):
     for size in [1, 7, 33, 1001, 32768]:
         cuts = cut_points(size)
         for key in KERNEL_KEYS:
-            whole = simulator._run_batch(reveals, probs, size, key)
+            whole = simulator._run_batch(reveals, probs, size, key, 0, size)
             parts = [
                 simulator._run_batch(reveals, probs, size, key, lo, hi)
                 for lo, hi in zip(cuts, cuts[1:])

@@ -692,6 +692,21 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["solve", "--n", str(10**400), "--cost", "0.1"],
+            ["simulate", "--n", str(10**400), "--cost", "0.1", "--trials", "1"],
+            ["sweep", "--n-range", f"2:{10**400}", "--cost-list", "0.1"],
+            ["asymptotics", "--cost", "0.1", "--n-range", f"2:{10**400}:3", "--log-spaced"],
+        ],
+        ids=["solve", "simulate", "sweep", "asymptotics"],
+    )
+    def test_size_too_large_for_a_float_is_a_usage_error(self, capsys, argv):
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["solve", "--n", "3", "--cost", "{}"],
             ["solve", "--n", "6", "--cost", "{}", "--tables", "--format", "json"],
             ["sweep", "--n-range", "2:6", "--cost-list={},0.1"],

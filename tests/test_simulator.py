@@ -34,7 +34,7 @@ def play_one(config, profile, key):
     for nobody) and whether that hired the overall best.
     """
     draws = rng_for(key).random(2 * config.n_applicants)
-    success, _, tau, _ = simulator._run_batch(*profile.plan(config), 1, key)
+    success, _, tau, _ = simulator._run_batch(*profile.plan(config), 1, key, 0, 1)
     return draws[0::2], draws[1::2], tau, bool(success)
 
 
