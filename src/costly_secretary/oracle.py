@@ -4,32 +4,32 @@
 Everything here is deliberately independent of the backward-induction
 solver: success probabilities are exact averages over all N! arrival
 orders of the acceptance probabilities propagated along each order.  The
-walk that computes them goes depth first over order prefixes with integer
-numerators over the common denominator of the acceptance probabilities,
-but what happens below a prefix depends only on its state: the ranks
-still to arrive and the best rank revealed so far.  So the walk solves
-each state once, for unit mass, and reuses it wherever a prefix meets it
-again, which bounds the work by the 2^N * (N + 1) states instead of the
-N! orders.  ``exact_evaluation`` runs that walk once per plan and reads
-from it the success probability, the expected stopping index and the
-full-learning audit of every reachable prefix; started at a later stage,
-for ``exact_state_value``, it takes each set of earlier ranks once.  On
-top of that sit a fast stage recursion, vectorized over policies
-(cross-checked against the enumeration), and an exhaustive policy-space
-scan that looks for anything beating the solved policy.  The scan shares
-the recursion between policies with the same leading options: it runs the
-leading stages once per prefix and the later ones, up to the last but one,
-per chunk of at most ``_BLOCK // 4`` states, so it holds at most 729
-prefix states and one chunk whatever the grid and size.  The last stage is
-bounded before it is run: each stage-(N - 1) state's q = 1 leaf is its
-largest, so only the states whose q = 1 leaf can still rise or tie have
-their leaves computed and folded, and a skipped leaf lies provably more
-than 1e-12 below the fold's running maximum.  The scan still covers every
-gridded policy."""
+walk that computes them carries integer numerators over the common
+denominator of the acceptance probabilities stage by stage, and lumps the
+order prefixes by what decides their future: below a prefix the ranks
+still to arrive come in uniformly random order, so all that matters is
+how many of them lie above the best rank revealed so far and whether the
+top rank is among them.  That bounds the work by O(N^2) states instead of
+the N! orders.  ``exact_evaluation`` runs that walk once per plan for the
+success probability and the expected stopping index; only where a stage
+reveals nothing does it also search the orders depth first for the first
+prefix on which full learning breaks, solving each (ranks left, best
+revealed) state at most once.  ``exact_state_value`` starts the walk at a
+later stage.  On top of that sit a fast stage recursion, vectorized over
+policies (cross-checked against the enumeration), and an exhaustive
+policy-space scan that looks for anything beating the solved policy.  The
+scan shares the recursion between policies with the same leading options:
+it runs the leading stages once per prefix and the later ones, up to the
+last but one, per chunk of at most ``_BLOCK // 4`` states, so it holds at
+most 729 prefix states and one chunk whatever the grid and size.  The last
+stage is bounded before it is run: each stage-(N - 1) state's q = 1 leaf
+is its largest, so only the states whose q = 1 leaf can still rise or tie
+have their leaves computed and folded, and a skipped leaf lies provably
+more than 1e-12 below the fold's running maximum.  The scan still covers
+every gridded policy."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,9 +60,9 @@ class VerificationError(RuntimeError):
     """An exact check that should hold for the solved policy failed."""
 
 
-def _exact_walk(
+def _lumped_walk(
     reveals: Sequence[bool], probs: Sequence[float | Fraction], stage: int = 1, state: int = 1
-) -> tuple[Fraction, Fraction, int, Optional[tuple[tuple[int, ...], int]]]:
+) -> tuple[Fraction, Fraction, int]:
     """Sum, from ``stage`` on, over every arrival order in which the
     stage's applicant is (state 1) or is not (state 0) the best so far;
     from stage 1 in state 1 that is all N! orders.
@@ -72,108 +72,131 @@ def _exact_walk(
     acceptance is blind.  Per order the only randomness left is the
     administrator's coin flips, so the surviving probability mass is
     carried along the order and hiring-the-best and stopping-index mass
-    accumulate at each acceptance opportunity.  The walk goes depth first
-    over order prefixes, in lexicographic order, and weights the mass met
-    at stage k by the (N - k)! orders that complete the prefix.  The
-    probabilities enter exactly (floats too), and the mass is carried as
-    integer numerators over the product of their denominators.
+    accumulate at each acceptance opportunity.  The probabilities enter
+    exactly (floats too), the mass is carried as integer numerators over
+    the product of their denominators, and the mass met at stage k is
+    weighted by the (N - k)! orders that complete its prefix.
 
-    What happens below a prefix depends only on its state: the set of ranks
-    still to arrive (which fixes the stage) and the best rank revealed so
-    far.  So the walk solves a state once, as the success and
-    stopping-index numerators of its subtree for unit mass, and a prefix
-    that meets it again multiplies them by its own mass.  That visits at
-    most 2^N * (N + 1) states instead of N! orders.  The head, the ranks
-    that arrive before ``stage``, is one case of it: the walk starts below
-    the head with the full mass, takes each head set once, as its sorted
-    order, and weights it by the (stage - 1)! orderings of the set.
+    Below a prefix the ranks still to arrive come in uniformly random
+    order, so what happens there depends only on how many of them lie
+    above the best rank revealed so far (a) and whether rank N is among
+    them (b).  The walk carries the summed mass of the prefixes in each
+    (a, b) state, at most 2(N + 1) numbers per stage, and steps each in
+    O(1):
+    - at a revealing stage, an arrival above the best revealed becomes it
+      and leaves a' uniform on 0..a - 1, with rank N still to come iff
+      a' > 0 and b; an arrival below leaves the state as it is;
+    - at a blind stage every arrival is offered: rank N leaves (a - 1, 0),
+      another arrival above leaves (a - 1, b), one below leaves (a, b).
+    The ranks that arrive before ``stage`` are taken as revealed: the head
+    sets with maximum M, C(M - 1, stage - 2) of them with (stage - 1)!
+    orderings each, leave a = N - M.  At ``stage`` itself only the
+    arrivals above the best revealed (state 1) or below it (state 0) play.
 
-    Returns the summed success and stopping-index masses as Fractions, the
-    number of orders summed over, and the first (rank order, stage) at
-    which a non-revealing stage holds a new best on a reachable prefix
-    (None if there is none).  A state's first visit comes before all its
-    later ones in depth-first order, so any break inside it is met on that
-    first visit, and the first break found is the lexicographically first;
-    it has a sorted head, because every ordering of a head set breaks alike
-    and the sorted one comes first.  A prefix behind a certain acceptance
-    is unreachable, so the walk does not descend past it.
+    Returns the summed success and stopping-index masses as Fractions and
+    the number of orders summed over.
     """
     n_apps = len(probs)
     start = stage - 1
-    want_best = state == 1
     exact = [Fraction(q) for q in probs]
     offer = [q.numerator for q in exact]
     den = [q.denominator for q in exact]
-    keep = [d - a for a, d in zip(offer, den)]
     # Mass offered at stage idx, per unit entering it, is a numerator over
-    # den[idx]; scale[idx] brings it over den[idx + 1 :] too and weights it
-    # by the orders that complete its prefix.  A state's numerators are thus
-    # over den[idx:], and the mass entering it, over den[start:idx], brings
-    # them over all the denominators.
-    scale = [
-        math.prod(den[idx + 1 :]) * math.factorial(n_apps - idx - 1)
-        for idx in range(n_apps)
-    ]
-    path = [0] * n_apps
-    first = None
-    # (rest, revealed) -> the subtree's success and stopping-index
-    # numerators for unit mass; the stage is n_apps - len(rest).
-    seen: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
-
-    def descend(idx: int, rest: tuple[int, ...], revealed: int) -> tuple[int, int]:
-        nonlocal first
-        key = rest, revealed
-        if key in seen:
-            return seen[key]
+    # den[idx]; tail[idx] brings it over den[idx + 1 :] too and weights it
+    # by the orders that complete its prefix.
+    tail = [1] * n_apps
+    for idx in range(n_apps - 1, start, -1):
+        tail[idx - 1] = tail[idx] * den[idx] * (n_apps - idx)
+    # mass[b][a]: the prefixes in state (a, b), times their coin numerators
+    # over den[start:idx]
+    mass = [[0] * (n_apps - start + 1) for _ in range(2)]
+    if start:
+        for top in range(start, n_apps + 1):
+            mass[top < n_apps][n_apps - top] = math.comb(top - 1, start - 1)
+    else:
+        mass[1][n_apps] = 1
+    count = sum(
+        m * (a if state else n_apps - start - a) for row in mass for a, m in enumerate(row)
+    )
+    success = stop = 0
+    for idx in range(start, n_apps):
+        left = n_apps - idx
+        up = idx > start or state == 1
+        down = idx > start or state == 0
         reveal = reveals[idx]
-        best = stop = 0
-        for i, rank in enumerate(rest):
-            if idx == start and (rank > revealed) != want_best:
+        keep = den[idx] - offer[idx]
+        win = offer[idx] * tail[idx]
+        # rank N is one of the arrivals above, where b = 1
+        success += win * up * sum(mass[1])
+        plays = [up * a + (down and not reveal) * (left - a) for a in range(left + 1)]
+        stop += win * (idx + 1) * sum(m * k for row in mass for m, k in zip(row, plays))
+        nxt = [[0] * left for _ in range(2)]
+        stay = den[idx] if reveal else keep
+        for b in range(2):
+            row = mass[b]
+            if down:
+                for a in range(left):
+                    nxt[b][a] += stay * (left - a) * row[a]
+            if not (up and keep):
                 continue
-            offered = offer[idx]
-            top = revealed
             if reveal:
-                if rank > revealed:
-                    top = rank
-                else:
-                    offered = 0
-            elif first is None and rank > revealed:
-                first = (*path[:idx], rank, *rest[:i], *rest[i + 1 :]), idx + 1
-            if offered:
-                win = offered * scale[idx]
-                if rank == n_apps:
-                    best += win
-                stop += win * (idx + 1)
-                left = keep[idx]
-                if not left:
-                    continue
+                # the new best leaves each of a' = a - 1, ..., 0 above it
+                # once, so a' gathers the mass of every state above it
+                run = 0
+                for a in range(left, 0, -1):
+                    run += row[a]
+                    nxt[b if a > 1 else 0][a - 1] += keep * run
             else:
-                left = den[idx]
-            if idx + 1 < n_apps:
-                path[idx] = rank
-                below = descend(idx + 1, rest[:i] + rest[i + 1 :], top)
-                best += left * below[0]
-                stop += left * below[1]
-        seen[key] = best, stop
-        return best, stop
-
-    count = success = tau_mass = 0
-    ranks = range(1, n_apps + 1)
-    for head in itertools.combinations(ranks, start):
-        path[:start] = head
-        rest = tuple(sorted(set(ranks).difference(head)))
-        revealed = max(head, default=0)
-        count += sum((r > revealed) == want_best for r in rest)
-        best, stop = descend(start, rest, revealed)
-        success += best
-        tau_mass += stop
-    # Each head set stands for its start! orderings, which all walk alike.
+                # rank N (where b = 1) leaves (a - 1, 0), the other a - b
+                # arrivals above leave (a - 1, b)
+                for a in range(1, left + 1):
+                    nxt[b][a - 1] += keep * (a - b) * row[a]
+                    nxt[0][a - 1] += keep * b * row[a]
+        mass = nxt
     heads = math.factorial(start)
     total = math.prod(den[start:])
-    success *= heads
-    tau_mass *= heads
     count *= heads * math.factorial(n_apps - stage)
-    return Fraction(success, total), Fraction(tau_mass, total), count, first
+    return Fraction(success * heads, total), Fraction(stop * heads, total), count
+
+
+def _first_break(
+    reveals: Sequence[bool], probs: Sequence[float | Fraction]
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """The first (rank order, stage) at which a non-revealing stage holds a
+    new best on a reachable prefix, from stage 1; None if there is none.
+
+    The search goes depth first over order prefixes, in lexicographic
+    order, and returns at the first break it meets, completed by the
+    remaining ranks in ascending order.  A prefix behind a certain
+    acceptance is unreachable, so the search does not descend past an
+    offered q = 1.  What lies below a prefix depends only on the ranks
+    still to arrive and the best rank revealed so far, so a state found
+    free of breaks is not searched again: at most 2^N * (N + 1) states.
+    """
+    n_apps = len(probs)
+    certain = [q == 1 for q in probs]
+    path: list[int] = []
+    clean: set[tuple[tuple[int, ...], int]] = set()
+
+    def search(idx: int, rest: tuple[int, ...], revealed: int):
+        if (rest, revealed) in clean:
+            return None
+        for i, rank in enumerate(rest):
+            above = rank > revealed
+            if not reveals[idx] and above:
+                return (*path, rank, *rest[:i], *rest[i + 1 :]), idx + 1
+            if certain[idx] and (above or not reveals[idx]):
+                continue
+            if idx + 1 < n_apps:
+                path.append(rank)
+                found = search(idx + 1, rest[:i] + rest[i + 1 :], max(rank, revealed))
+                path.pop()
+                if found:
+                    return found
+        clean.add((rest, revealed))
+        return None
+
+    return search(0, tuple(range(1, n_apps + 1)), 0)
 
 
 @dataclass(frozen=True)
@@ -198,17 +221,25 @@ class ExactEvaluation:
 
     @staticmethod
     def require_enumerable(config: GameConfig) -> None:
-        """Raise ValueError for an instance with too many arrival orders to
-        enumerate (N > 10), before anything of size N is built."""
+        """Raise ValueError for an instance too large for the exact checks
+        (N > 10), before anything of size N is built.  The walk itself takes
+        O(N^2) states; the limit guards the counterexample search, which
+        can visit up to 2^N * (N + 1) of them."""
         if config.n_applicants > _MAX_ENUM:
             raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
 
 
 def exact_evaluation(config: GameConfig, plan: PolicySpec | StrategyProfile) -> ExactEvaluation:
-    """Evaluate a policy or profile exactly, by one walk from stage 1 over
-    the states of the N! arrival orders."""
+    """Evaluate a policy or profile exactly, over all N! arrival orders:
+    one lumped walk from stage 1 gives the success probability and expected
+    stopping index, and the counterexample search runs only where some
+    stage reveals nothing, since a plan whose every stage reveals keeps
+    full learning on every prefix."""
     ExactEvaluation.require_enumerable(config)
-    success, tau_mass, count, first = _exact_walk(*plan.plan(config))
+    reveals, probs = plan.plan(config)
+    success, tau_mass, count = _lumped_walk(reveals, probs)
+    # only a stage that reveals nothing can break full learning
+    first = None if all(reveals) else _first_break(reveals, probs)
     return ExactEvaluation(success / count, tau_mass / count, first)
 
 
@@ -485,11 +516,11 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
     ``state`` 1 means the stage's applicant is the best interviewed so far,
     0 means dominated.  Averages the success probability of the solved plan,
     ``StrategyProfile.equilibrium``, from that point over all arrival orders
-    consistent with the state: the state walk of ``exact_evaluation``,
-    started at the stage instead of stage 1.  The walk takes each set of
-    ranks that can arrive before the stage once, weighted by its
-    (stage - 1)! orderings, since the play from the stage on depends only
-    on that set, and solves each later state once.
+    consistent with the state: the lumped walk of ``exact_evaluation``,
+    started at the stage instead of stage 1.  The play from the stage on
+    depends only on the largest rank that arrived before it, so the walk
+    starts from each such rank once, weighted by the head sets with that
+    maximum and their (stage - 1)! orderings.
     Stage 1 in state 0 never occurs; it is defined, as in the backward
     recursion, as the average of the two stage-2 values.
     """
@@ -505,5 +536,5 @@ def exact_state_value(config: GameConfig, stage: int, state: int) -> Fraction:
             exact_state_value(config, 2, 1) + exact_state_value(config, 2, 0)
         ) / 2
     plan = StrategyProfile.equilibrium(config).plan(config)
-    success, _, count, _ = _exact_walk(*plan, stage, state)
+    success, _, count = _lumped_walk(*plan, stage, state)
     return success / count

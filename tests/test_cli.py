@@ -240,14 +240,14 @@ class TestOracleCommand:
         # rows, so the command walks the N! orders once
         argv = ["oracle", "--n", "5", "--cost", "0.4", *scan]
         plain = capture(capsys, argv)
-        walk = oracle._exact_walk
+        walk = oracle._lumped_walk
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(args)
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_exact_walk", spy)
+        monkeypatch.setattr(oracle, "_lumped_walk", spy)
         assert capture(capsys, argv) == plain
         assert len(calls) == 1
 

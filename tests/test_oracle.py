@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from costly_secretary import (
     solve_values,
 )
 from costly_secretary import oracle
-from costly_secretary.oracle import _exact_walk
+from costly_secretary.oracle import _first_break, _lumped_walk
 
 COST_GRID = [k / 10 for k in range(10)]
 
@@ -98,24 +99,37 @@ class TestExactExpectedTau:
     @pytest.mark.parametrize("n_apps", [9, 10])
     @pytest.mark.parametrize("cost", [0.0, 0.375, 0.5])
     def test_exact_identities_at_the_largest_sizes(self, n_apps, cost):
-        # N pi = S_{n*-2} (n* - 1 - c) (c / (1 - c) + sum_{k=n*-1}^{N-1} 1/k)
-        # with S_m = prod_{k<=m} (1 - c/k) and n* the least n with
-        # sum_{k=n}^{N-1} 1/k <= 1, all worked out here in Fractions
-        c = Fraction(cost)
-        n_star = next(
-            n for n in range(1, n_apps + 1)
-            if sum(Fraction(1, k) for k in range(n, n_apps)) <= 1
-        )
-        survive = Fraction(1)
-        for k in range(1, n_star - 1):
-            survive *= 1 - c / k
-        tail = sum(Fraction(1, k) for k in range(n_star - 1, n_apps))
-        product_form = survive * (n_star - 1 - c) * (c / (1 - c) + tail) / n_apps
         cfg = GameConfig(n_apps, cost)
         exact = exact_evaluation(cfg, StrategyProfile.equilibrium(cfg))
         assert exact.expected_tau == n_apps * exact.success
         assert exact.counterexample is None
-        assert exact.success == product_form
+        assert exact.success == product_form(n_apps, cost)
+
+    @pytest.mark.parametrize("n_apps", [50, 100, 300])
+    @pytest.mark.parametrize("cost", [0.0, 0.375, 0.1])
+    def test_lumped_walk_past_the_enumeration_limit(self, n_apps, cost):
+        # the walk needs O(N^2) states, so it reaches sizes that no order
+        # enumeration could; the refusal above N = 10 guards the witness search
+        cfg = GameConfig(n_apps, cost)
+        success, tau_mass, count = _lumped_walk(*StrategyProfile.equilibrium(cfg).plan(cfg))
+        assert count == math.factorial(n_apps)
+        assert tau_mass == n_apps * success
+        assert success / count == product_form(n_apps, cost)
+
+
+def product_form(n_apps, cost):
+    """The solved plan's success at N >= 3, worked out in Fractions:
+    N pi = S_{n*-2} (n* - 1 - c) (c / (1 - c) + sum_{k=n*-1}^{N-1} 1/k)
+    with S_m = prod_{k<=m} (1 - c/k) and n* the least n with
+    sum_{k=n}^{N-1} 1/k <= 1."""
+    c = Fraction(cost)
+    n_star, tail = n_apps, Fraction(0)  # tail = sum_{k=n*}^{N-1} 1/k
+    while tail + Fraction(1, n_star - 1) <= 1:
+        n_star -= 1
+        tail += Fraction(1, n_star)
+    tail += Fraction(1, n_star - 1)
+    survive = math.prod(1 - c / k for k in range(1, n_star - 1))
+    return survive * (n_star - 1 - c) * (c / (1 - c) + tail) / n_apps
 
 
 class TestPolicyEvaluator:
@@ -330,9 +344,9 @@ class TestPrefixWalk:
 
     def test_counts_and_first_break_from_any_state(self):
         # from stage 3 on a head set has several orderings, which the walk
-        # takes once; the first break it reports must still be the replay's
+        # takes once by its largest rank; the first break from stage 1 must
+        # be the replay's
         rand = random.Random(31337)
-        late_breaks = set()
         for _ in range(80):
             n_apps = rand.randint(2, 7)
             cost = rand.choice([0.0, 0.3])
@@ -347,27 +361,25 @@ class TestPrefixWalk:
             stage = rand.randint(1, n_apps)
             state = 1 if stage == 1 else rand.randint(0, 1)
             expected = flat_walk(*exact_plan, stage, state)
-            assert _exact_walk(*exact_plan, stage, state) == expected
-            assert _exact_walk(*float_plan, stage, state)[2:] == flat_walk(
-                *float_plan, stage, state
-            )[2:]
-            if expected[3] is not None and stage >= 3:
-                late_breaks.add(n_apps)
-            # from stage 1, the public evaluation of the float profile and of
-            # its plan as a Fraction policy equals the per-order replay
+            # from stage 1, the witness search, and the public evaluation of
+            # the float profile and of its plan as a Fraction policy, equal
+            # the per-order replay
             success, tau_mass, count, first = flat_walk(*exact_plan)
+            for plan in (exact_plan, float_plan):
+                assert _lumped_walk(*plan, stage, state) == expected[:3]
+                assert _first_break(*plan) == first
             fraction_policy = PolicySpec(tuple(exact_plan[1]), tuple(exact_plan[0]))
             for plan in (profile, fraction_policy):
                 got = exact_evaluation(GameConfig(n_apps, cost), plan)
                 assert (got.success, got.expected_tau, got.counterexample) == (
                     success / count, tau_mass / count, first
                 )
-        assert 7 in late_breaks and len(late_breaks) >= 3
 
     def test_eight_applicants_from_stage_one_and_a_later_state(self):
         # two revealing stages, then blind and forced-decline ones; the walk
-        # reuses each (ranks left, best revealed) state, and every output,
-        # the first break included, must still be the replay's
+        # lumps the orders by (ranks above the best revealed, rank N among
+        # them), and every output, the first break included, must still be
+        # the replay's
         rand = random.Random(20)
         cost = 0.25
         rules = [StageRule(True, rand.randint(4, 15) / 16) for _ in range(2)] + [
@@ -384,10 +396,12 @@ class TestPrefixWalk:
         for reveals, probs in (float_plan, fraction_plan):
             later = rand.randint(3, 8), rand.randint(0, 1)
             exact = [Fraction(q) for q in probs]
-            for stage, state in ((1, 1), later):
-                expected = flat_walk(reveals, exact, stage, state)
-                assert expected[3] is not None
-                assert _exact_walk(reveals, probs, stage, state) == expected
+            expected = flat_walk(reveals, exact)
+            assert expected[3] is not None
+            assert _first_break(reveals, probs) == expected[3]
+            assert _lumped_walk(reveals, probs) == expected[:3]
+            later_walk = _lumped_walk(reveals, probs, *later)
+            assert later_walk == flat_walk(reveals, exact, *later)[:3]
 
 
 def one_by_one(totals):
@@ -587,6 +601,34 @@ class TestFullLearningAudit:
         # the prefix breaks exactly when applicant 2 should have revealed
         assert stage == 2
         assert order[1] > order[0]
+
+    @pytest.mark.parametrize("n_apps", range(2, 11))
+    def test_witness_search_runs_only_on_a_plan_that_can_break(self, monkeypatch, n_apps):
+        # every stage of the solved plan reveals, so no prefix can break and
+        # the search over 2^N states is skipped; with one stage forced to
+        # decline it runs once and finds the witness
+        calls = []
+        search = oracle._first_break
+
+        def spy(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "_first_break", spy)
+        cfg = GameConfig(n_apps, 0.3)
+        solved = StrategyProfile.equilibrium(cfg)
+        assert exact_evaluation(cfg, solved).counterexample is None
+        assert not calls
+        rules = list(solved.stages)
+        rules[-1] = dataclasses.replace(rules[-1], force_decline=True)
+        found = exact_evaluation(cfg, StrategyProfile(cfg.cost, tuple(rules))).counterexample
+        assert len(calls) == 1
+        if n_apps == 2:
+            # stage 1 accepts its record outright, so stage 2 is never reached
+            assert found is None
+        else:
+            order, stage = found
+            assert stage == n_apps and order[-1] == n_apps
 
     def test_blind_stage_fails(self):
         cfg = GameConfig(3, 0.2)
