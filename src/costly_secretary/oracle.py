@@ -19,21 +19,22 @@ later stage.  On top of that sit a fast stage recursion, vectorized over
 policies (cross-checked against the enumeration), and an exhaustive
 policy-space scan that looks for anything beating the solved policy.  The
 scan shares the recursion between policies with the same leading options:
-it runs the leading stages once per prefix and the later ones, up to the
-last but one, per chunk of at most ``_BLOCK // 4`` states, so it holds at
-most 729 prefix states and one chunk whatever the grid and size.  The last
-stage is bounded before it is run: each stage-(N - 1) state's q = 1 leaf
-is its largest, so only the states whose q = 1 leaf can still rise or tie
-have their leaves computed and folded, and a skipped leaf lies provably
-more than 1e-12 below the fold's running maximum.  The scan still covers
-every gridded policy."""
+it walks the stages depth first, expanding pieces of at most
+``_BLOCK // 4 // base`` states (base options per stage) by one stage at a
+time, so it holds at most one expansion of ``_BLOCK // 4`` states per
+stage, a ``tracemalloc`` peak of about 1.1 MB at the deepest admitted scan
+(N = 14), whatever the grid.  The last stage is bounded before it is run:
+each stage-(N - 1) state's q = 1 leaf is its largest, so only the states
+whose q = 1 leaf can still rise or tie have their leaves computed and
+folded, and a skipped leaf lies provably more than 1e-12 below the fold's
+running maximum.  The scan still covers every gridded policy."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -260,24 +261,19 @@ def policy_success_probability(config: GameConfig, policy: PolicySpec | Strategy
     an acceptance there hires the overall best with probability j/N; a blind
     acceptance hires the best with probability 1/N.  The recursion carries
     the surviving probability mass across stages.  The policy scan runs the
-    same recursion; it is cross-checked against the exhaustive enumeration
-    in the test suite.
+    same arithmetic, vectorized over policies; the test suite checks its
+    leaves against this function bit for bit, and this function against the
+    exhaustive enumeration.
     """
     reveals, probs = policy.plan(config)
     inv_n = 1.0 / config.n_applicants
-    state = (0, 0.0, 1.0)
+    j, total, alive = 0, 0.0, 1.0
     for reveal, q in zip(reveals, probs):
-        state = _stage_step(state, reveal, float(q), inv_n)
-    return float(state[1])
-
-
-def _stage_step(state: tuple, reveals, q, inv_n: float) -> tuple:
-    """One stage of the recursion: the (completed interviews j, success
-    total, surviving mass) after a stage with the given reveal flag and
-    acceptance probability, scalars or arrays alike."""
-    j, total, alive = state
-    j = j + reveals
-    return j, total + alive * q * inv_n, alive * (1.0 - q / np.where(reveals, j, 1))
+        q = float(q)
+        j += reveal
+        total += alive * q * inv_n
+        alive *= 1.0 - q / (j if reveal else 1)
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -394,11 +390,31 @@ def _grid_points(cost: float, grid_step: float) -> int:
     return hi
 
 
-def _expand(state: tuple, reveals: np.ndarray, probs: np.ndarray, inv_n: float) -> tuple:
-    """Recursion states after one more stage: one per (state, option) pair,
-    in itertools.product order, the option the faster digit."""
-    rows = tuple(x[:, None] for x in state)
-    return tuple(x.ravel() for x in _stage_step(rows, reveals, probs, inv_n))
+def _stage_rows(
+    state: tuple, start: int, stages: int, reveals: np.ndarray, probs: np.ndarray,
+    survive: np.ndarray, inv_n: float,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Run ``stages`` more stages of the recursion from consecutive states,
+    the first at prefix position ``start``, depth first: split the states
+    into pieces of at most ``_BLOCK // 4 // base`` and expand each piece by
+    one stage, one state per (state, option) pair in itertools.product
+    order, before the next piece.  Yields (position of the first state,
+    success total, surviving mass) for the states after the last stage, in
+    increasing position; each expansion holds at most ``_BLOCK // 4``
+    states.  ``survive[j, option]`` is the mass an option keeps after j
+    completed interviews."""
+    if not stages:
+        yield start, state[1], state[2]
+        return
+    base = probs.size
+    piece = max(_BLOCK // 4 // base, 1)
+    for lo in range(0, state[0].size, piece):
+        j, total, alive = (x[lo : lo + piece, None] for x in state)
+        nxt = (j + reveals, total + alive * probs * inv_n, alive * survive[j[:, 0]])
+        yield from _stage_rows(
+            tuple(x.ravel() for x in nxt), (start + lo) * base, stages - 1,
+            reveals, probs, survive, inv_n,
+        )
 
 
 def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
@@ -415,14 +431,13 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
     examined.
 
     Policies that share their first s options share the recursion state
-    after stage s, so the stage recursion runs once per prefix: over every
-    prefix of the first N - t stages, then over each chunk of those
-    prefixes expanded by the next t - 1 stages, where t is the longest tail
-    with base**(t - 1) <= ``_BLOCK // 4`` states (base options per stage).
-    The chunks bound the states held at once; the head holds base**(N - t)
-    states, fewer than ``_MAX_POLICIES`` / (``_BLOCK // 4``) since
-    base**t > ``_BLOCK // 4`` whenever t < N, and at most 729 within the
-    budget (N = 7 at base 9, N = 14 at base 3).
+    after stage s, so the stage recursion runs once per prefix, in one
+    stage-major walk (``_stage_rows``): the states of each stage are split
+    into pieces of at most ``_BLOCK // 4 // base`` (base options per
+    stage), and each piece is expanded by one stage and walked on, depth
+    first, before the next, down to the stage-(N - 1) rows.  One expansion
+    of at most ``_BLOCK // 4`` states is held per stage: a ``tracemalloc``
+    peak of 1.06 MB at N = 14 (base 3) and 0.50 MB at N = 7 (base 9).
 
     The last stage is bounded rather than run for every policy
     (``_fold_rows``): each stage-(N - 1) state's q = 1 leaf is its largest,
@@ -456,27 +471,18 @@ def optimality_scan(config: GameConfig, grid_step: float) -> ScanReport:
 
     # Policy p is the p-th combination of itertools.product(options,
     # repeat=N): its option at stage s is digit s of p in base len(options).
-    # The recursion holds about eight arrays with one entry per state in the
-    # chunk, so a quarter of _BLOCK keeps them to about 300 kB.
     weights = [base ** (n_apps - s) for s in range(1, n_apps + 1)]
     option_reveals = np.array([learn for learn, _ in options])
     option_probs = np.array([q for _, q in options])
     inv_n = 1.0 / n_apps
-    width = _BLOCK // 4
-    tail = 1
-    while tail < n_apps and base**tail <= width:
-        tail += 1
-    rows = base ** (tail - 1)
-    chunk = width // rows
-    prefixes = (np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1))
-    for _ in range(n_apps - tail):
-        prefixes = _expand(prefixes, option_reveals, option_probs, inv_n)
+    # the surviving mass's factor, 1 - q / (interviews completed, for a
+    # learning option), by the interviews completed before the stage
+    survive = 1.0 - option_probs / np.where(option_reveals, np.arange(1, n_apps + 1)[:, None], 1)
     best, n_max, kept = -1.0, 0, []
-    for lo in range(0, prefixes[0].size, chunk):
-        state = tuple(x[lo : lo + chunk] for x in prefixes)
-        for _ in range(tail - 1):
-            state = _expand(state, option_reveals, option_probs, inv_n)
-        best, n_max = _fold_rows(*state[1:], lo * rows, option_probs, inv_n, best, n_max, kept)
+    root = (np.zeros(1, dtype=np.int64), np.zeros(1), np.ones(1))
+    rows = _stage_rows(root, 0, n_apps - 1, option_reveals, option_probs, survive, inv_n)
+    for start, total, alive in rows:
+        best, n_max = _fold_rows(total, alive, start, option_probs, inv_n, best, n_max, kept)
 
     dp_success = solve_values(config, tables=False).success_probability
     eq_success = policy_success_probability(config, StrategyProfile.equilibrium(config))

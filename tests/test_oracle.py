@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -174,6 +175,16 @@ class TestPolicyEvaluator:
         assert value == pytest.approx(1 / 3, abs=1e-15)
         assert value < 5 / 12 - 1e-9
 
+    def test_numpy_probabilities_give_a_float(self):
+        # numpy accept probabilities make numpy reveal flags and counts; the
+        # result is still a Python float, equal to the plain one
+        cfg = GameConfig(4, 0.25)
+        plain = PolicySpec((0.25, 0.5, 1.0, 1.0), (True, True, True, False))
+        numpy_probs = PolicySpec(tuple(np.array(plain.accept_probs)), plain.learning)
+        value = policy_success_probability(cfg, numpy_probs)
+        assert type(value) is float
+        assert value == policy_success_probability(cfg, plain)
+
 
 def _read_low(fn):
     """``fn`` with its success probability read 1e-6 low."""
@@ -241,6 +252,22 @@ class TestOptimalityScan:
             optimality_scan(GameConfig(9, 0.2), grid_step=0.25)
         with pytest.raises(ValueError):
             optimality_scan(GameConfig(3, 0.2), grid_step=0.3)
+
+    @pytest.mark.parametrize(
+        "n_apps, cost", [(14, 1 - 1e-13), (7, 0.4)], ids=["deepest", "widest"]
+    )
+    def test_peak_memory_of_the_largest_scans(self, n_apps, cost):
+        # 3**14 and 9**7 policies, both under the budget: the walk holds one
+        # expansion of at most _BLOCK // 4 states per stage, about 1.1 and
+        # 0.5 MB at the peak
+        tracemalloc.start()
+        try:
+            report = optimality_scan(GameConfig(n_apps, cost), grid_step=0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_policies <= oracle._MAX_POLICIES
+        assert peak <= 2 << 20
 
     def test_nine_applicants_within_the_budget(self):
         # one grid point, base 5: 5**9 policies, under the budget
@@ -561,8 +588,8 @@ class TestScanAgainstProductLoop:
 
     @pytest.mark.parametrize(
         "n_apps, cost, grid_step",
-        [(3, 0.5, 0.25),  # 7**3 policies: no head stage, one chunk
-         (5, 0.4, 0.25)],  # 81 two-stage prefixes in chunks of 5: the last holds one
+        [(3, 0.5, 0.25),  # 7**3 policies: one piece at every stage
+         (5, 0.4, 0.25)],  # 729 three-stage states in pieces of 455: the last is short
     )
     def test_chunk_edges(self, n_apps, cost, grid_step):
         self.assert_same(GameConfig(n_apps, cost), grid_step)
@@ -571,8 +598,39 @@ class TestScanAgainstProductLoop:
         n_max, kept, _ = self.assert_same(GameConfig(2, 0.0), 0.02)
         assert n_max == 408 and len(kept) == 256
 
+    @pytest.mark.parametrize(
+        "n_apps, cost, grid_step", [(3, 0.5, 0.1), (4, 0.0, 0.25), (5, 0.4, 0.25), (6, 0.25, 0.25)]
+    )
+    def test_leaves_are_the_recursion_bit_for_bit(self, n_apps, cost, grid_step):
+        # the scan's vectorized stages and policy_success_probability are
+        # written apart: every folded leaf, the solved plan's among them,
+        # must be the scalar recursion's float exactly
+        config = GameConfig(n_apps, cost)
+        fold, leaves = oracle._fold_maximum, {}
+
+        def spy(total, where, *args):
+            leaves.update(zip(where.tolist(), total.tolist()))
+            return fold(total, where, *args)
+
+        with mock.patch.object(oracle, "_fold_maximum", spy):
+            report = optimality_scan(config, grid_step)
+        qgrid = grid_loop(cost, grid_step)
+        options = [(True, q) for q in qgrid] + [(False, 0.0)] + [(False, q) for q in qgrid]
+        base = len(options)
+        reveals, probs = StrategyProfile.equilibrium(config).plan(config)
+        solved = 0
+        for learn, q in zip(reveals, probs):
+            solved = solved * base + options.index((learn, q))
+        assert leaves[solved] == report.equilibrium_success
+        for pos, total in leaves.items():
+            digits = [(pos // base**k) % base for k in reversed(range(n_apps))]
+            policy = PolicySpec(
+                tuple(options[d][1] for d in digits), tuple(options[d][0] for d in digits)
+            )
+            assert policy_success_probability(config, policy) == total
+
     def test_ties_in_later_blocks(self):
-        # base 203 > 64: a one-stage tail, 203 prefixes in chunks of 20
+        # base 203: the root expands to 203 stage-1 rows, folded in groups of 20
         _, _, hits = self.assert_same(GameConfig(2, 0.0), 0.01)
         assert max(hits) >= oracle._BLOCK
 
