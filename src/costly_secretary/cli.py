@@ -87,17 +87,18 @@ _TABLE_COLUMNS = ("stage", "v0", "v1", "accept_record")
 
 def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
     """The bytes that _emit writes for one dict per stage of
-    ``solve --tables``, made from one row template per format.
+    ``solve --tables``, made one chunk of rows per ``%`` call.
 
     A float is written as _emit writes it: ``%.17g`` in CSV, and ``%r``, the
     ``float.__repr__`` that the C JSON encoder writes, in JSON, where a
     non-finite value raises ValueError as allow_nan=False does.  The floor
-    1/N, the cost and 1.0 are formatted once.  The accept column is one
-    stream for the whole table, the cost before the threshold and 1.0 from
-    it, that the rows of every block consume in row order.  The v1 at the
-    end of each block that equal the floor (every v1 from the tail on) are
-    written by a second template that holds the floor's string.  One block
-    of _BLOCK stages becomes Python floats at a time.
+    1/N, the cost and 1.0 are formatted once.  A chunk of up to _BLOCK // 4
+    rows is one template, the row template repeated, filled from one flat
+    tuple of its stages, v0 and v1 and accept strings: the cost before the
+    threshold and 1.0 from it.  The v1 at the end of each block of _BLOCK
+    stages that equal the floor (every v1 from the tail on) are written by
+    a second template that holds the floor's string.  One chunk becomes
+    Python floats at a time.
     """
     n_apps = tables.config.n_applicants
     floor = 1.0 / n_apps
@@ -110,23 +111,33 @@ def _table_pieces(tables: ValueTables, fmt: str, meta: dict) -> Iterator[str]:
         return _row(fmt, cells)
 
     row, floor_row = template(conv), template(conv % floor)
-    accept = itertools.chain(
-        itertools.repeat(conv % tables.config.cost, tables.threshold - 1),
-        itertools.repeat(conv % 1.0),
-    )
+    cost, one = conv % tables.config.cost, conv % 1.0
+    chunk = max(_BLOCK // 4, 1)
+    row_chunk, floor_chunk = row * chunk, floor_row * chunk
+
+    def chunks(tmpl: str, tmpl_chunk: str, lo: int, hi: int, *columns: np.ndarray):
+        # stages lo..hi-1 with the cells of ``columns`` between stage and accept
+        width = len(columns) + 2
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            split = min(max(tables.threshold, a), b)
+            values = [None] * (width * (b - a))
+            values[::width] = range(a, b)
+            for j, column in enumerate(columns, 1):
+                values[j::width] = column[a:b].tolist()
+            values[width - 1 :: width] = [cost] * (split - a) + [one] * (b - split)
+            yield (tmpl_chunk if b - a == chunk else tmpl * (b - a)) % tuple(values)
 
     def block_rows(lo: int) -> Iterator[str]:
         hi = min(lo + _BLOCK, n_apps + 1)
-        v0 = tables.v0[lo:hi]
         v1 = tables.v1[lo:hi]
-        if fmt == "json" and not (np.isfinite(v0).all() and np.isfinite(v1).all()):
+        if fmt == "json" and not (np.isfinite(tables.v0[lo:hi]).all() and np.isfinite(v1).all()):
             raise ValueError("Out of range float values are not JSON compliant")
         not_floor = np.flatnonzero(v1 != floor)
-        k = int(not_floor[-1]) + 1 if not_floor.size else 0
-        mid = lo + k
+        mid = lo + (int(not_floor[-1]) + 1 if not_floor.size else 0)
         return itertools.chain(
-            map(row.__mod__, zip(range(lo, mid), v0[:k].tolist(), v1[:k].tolist(), accept)),
-            map(floor_row.__mod__, zip(range(mid, hi), v0[k:].tolist(), accept)),
+            chunks(row, row_chunk, lo, mid, tables.v0, tables.v1),
+            chunks(floor_row, floor_chunk, mid, hi, tables.v0),
         )
 
     rows = itertools.chain.from_iterable(map(block_rows, range(1, n_apps + 1, _BLOCK)))
@@ -138,10 +149,18 @@ def _write(pieces: Iterator[str], args: argparse.Namespace) -> None:
         sink = open(args.out, "w", encoding="utf-8", newline="\n")
     else:
         sink = contextlib.nullcontext(sys.stdout)
-    # Join pieces in batches: a table has ~1M of them, and a write costs ~1 us on a pipe.
+    # Join pieces into writes of about 128 KiB: a dict row is one small piece,
+    # and a write costs ~1 us on a pipe; a table chunk is a write of its own.
     with sink as fh:
-        while text := "".join(itertools.islice(pieces, 4096)):
-            fh.write(text)
+        batch, size = [], 0
+        for piece in pieces:
+            batch.append(piece)
+            size += len(piece)
+            if size >= 1 << 17:
+                fh.write("".join(batch))
+                batch, size = [], 0
+        if size:
+            fh.write("".join(batch))
 
 
 def _emit(rows: Sequence[dict], meta: dict, args: argparse.Namespace) -> None:

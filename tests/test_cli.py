@@ -541,6 +541,46 @@ class TestStreamedTables:
         argv = ["solve", "--n", "10", "--cost", "0.3", "--tables", "--format", fmt]
         assert capture(capsys, argv) == (0, _reference_tables(10, 0.3, fmt), "")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_apps", [10, 50])
+    @pytest.mark.parametrize("block", [4, 16])
+    def test_bytes_do_not_depend_on_the_row_chunk(self, capsys, monkeypatch, block, n_apps, fmt):
+        # one % call formats _BLOCK // 4 rows: here chunks of 1 and 4 rows
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        argv = ["solve", "--n", str(n_apps), "--cost", "0.3", "--tables", "--format", fmt]
+        assert capture(capsys, argv) == (0, _reference_tables(n_apps, 0.3, fmt), "")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_apps", [4095, 4096, 4097, 16385])
+    def test_bytes_at_the_chunk_and_block_edges(self, tmp_path, capsys, n_apps, fmt, to_file):
+        argv = ["solve", "--n", str(n_apps), "--cost", "0.1", "--tables", "--format", fmt]
+        target = tmp_path / "tables.out"
+        code, out, err = capture(capsys, argv + ["--out", str(target)] * to_file)
+        assert (code, err) == (0, "")
+        written = target.read_text(encoding="utf-8") if to_file else out
+        assert written == _reference_tables(n_apps, 0.1, fmt)
+
+    class _Writes(list):
+        """A stdout that keeps the length of each write."""
+
+        def write(self, text):
+            self.append(len(text))
+
+    def test_table_writes_are_bounded(self, monkeypatch):
+        writes = self._Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        argv = ["solve", "--n", "100000", "--cost", "0.1", "--tables", "--format", "json"]
+        assert main(argv) == 0
+        assert max(writes) <= 1 << 20
+        assert len(writes) <= sum(writes) / (1 << 17) + 2
+
+    def test_dict_rows_are_joined_into_few_writes(self, monkeypatch):
+        writes = self._Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert main(["sweep", "--n-range", "2:2000", "--cost-list", "0.1"]) == 0
+        assert 1 <= len(writes) <= 2
+
     @pytest.mark.parametrize(
         "argv, limit_mb",
         [
@@ -592,9 +632,8 @@ class TestStreamedTables:
             v1[3] = bad
         return ValueTables(GameConfig(10, 0.3), v0, v1, threshold=6, success_probability=0.2)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_table_rows_equal_the_dict_writers(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "_BLOCK", 4)
+    def _check_crafted_rows(self, capsys, monkeypatch, block, fmt):
+        monkeypatch.setattr(cli, "_BLOCK", block)
         tables = self._crafted_tables()
         rows = [
             {"stage": n, "v0": tables.v0[n].item(), "v1": tables.v1[n].item(),
@@ -604,6 +643,21 @@ class TestStreamedTables:
         meta = {"tool": "costly-secretary"}
         want = _emitted(capsys, rows, meta, fmt)
         assert "".join(cli._table_pieces(tables, fmt, meta)) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_rows_equal_the_dict_writers(self, capsys, monkeypatch, fmt):
+        # blocks of 4 stages, formatted one row per % call
+        self._check_crafted_rows(capsys, monkeypatch, 4, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block", [8, 20], ids=["floor-edges", "threshold"])
+    def test_chunk_edges_on_the_crafted_table(self, capsys, monkeypatch, block, fmt):
+        # Chunks of block // 4 rows start at each block and at its floor run:
+        # 2-row chunks start at stage 3, the v1 above the floor after the
+        # floor at 2, and at stage 7, the first row of the floor template;
+        # 5-row chunks start at stage 6, the threshold and the v1 above the
+        # floor after the floor run 4-5.
+        self._check_crafted_rows(capsys, monkeypatch, block, fmt)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_table_rejects_non_finite_values(self, bad):
