@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import itertools
 import json
 import math
@@ -439,8 +440,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
 def _pin_mmap_threshold() -> None:
-    """Give every allocation of 1 MiB or more its own mapping (glibc only).
+    """Give every allocation of 1 MiB or more its own mapping (glibc only),
+    once per process.
 
     glibc maps a block of at least its mmap threshold and unmaps it when it
     is freed, but by default raises the threshold to the size of each mapped

@@ -11,10 +11,10 @@ still to arrive come in uniformly random order, so all that matters is
 how many of them lie above the best rank revealed so far and whether the
 top rank is among them.  That bounds the work by O(N^2) states instead of
 the N! orders.  ``exact_evaluation`` runs that walk once per plan for the
-success probability and the expected stopping index; only where a stage
-reveals nothing does it also search the orders depth first for the first
-prefix on which full learning breaks, solving each (ranks left, best
-revealed) state at most once.  ``exact_state_value`` starts the walk at a
+success probability and the expected stopping index.  The first prefix on
+which full learning breaks, if any, lies at the first stage that reveals
+nothing, behind the first prefix that reaches it, and is built in O(N)
+steps.  ``exact_state_value`` starts the walk at a
 later stage.  On top of that sit a fast stage recursion, vectorized over
 policies (cross-checked against the enumeration), and an exhaustive
 policy-space scan that looks for anything beating the solved policy.  The
@@ -166,38 +166,33 @@ def _first_break(
     """The first (rank order, stage) at which a non-revealing stage holds a
     new best on a reachable prefix, from stage 1; None if there is none.
 
-    The search goes depth first over order prefixes, in lexicographic
-    order, and returns at the first break it meets, completed by the
-    remaining ranks in ascending order.  A prefix behind a certain
-    acceptance is unreachable, so the search does not descend past an
-    offered q = 1.  What lies below a prefix depends only on the ranks
-    still to arrive and the best rank revealed so far, so a state found
-    free of breaks is not searched again: at most 2^N * (N + 1) states.
+    "First" is the order in which a depth-first search over order prefixes,
+    in lexicographic order, meets the breaks: the break's prefix completed
+    by the remaining ranks in ascending order.  A prefix behind a certain
+    acceptance is unreachable.
+
+    Every break passes the first non-revealing stage b, so the first break
+    lies below the first prefix that reaches b.  Before b a stage that may
+    decline (q < 1) passes any arrival, and one with q = 1 only an arrival
+    below the best revealed, so the first prefix gives each stage that may
+    decline the smallest rank that leaves one rank below it for each q = 1
+    stage up to the next stage that may decline (or b), and those stages
+    the ranks below it in ascending order.  It holds ranks 1, ..., b - 1,
+    so every rank still to come lies above the best revealed, and the
+    first of them breaks at b.  No prefix reaches b if stage 1 reveals and
+    has q = 1, since its arrival is always a new best.  O(N) steps.
     """
     n_apps = len(probs)
-    certain = [q == 1 for q in probs]
-    path: list[int] = []
-    clean: set[tuple[tuple[int, ...], int]] = set()
-
-    def search(idx: int, rest: tuple[int, ...], revealed: int):
-        if (rest, revealed) in clean:
-            return None
-        for i, rank in enumerate(rest):
-            above = rank > revealed
-            if not reveals[idx] and above:
-                return (*path, rank, *rest[:i], *rest[i + 1 :]), idx + 1
-            if certain[idx] and (above or not reveals[idx]):
-                continue
-            if idx + 1 < n_apps:
-                path.append(rank)
-                found = search(idx + 1, rest[:i] + rest[i + 1 :], max(rank, revealed))
-                path.pop()
-                if found:
-                    return found
-        clean.add((rest, revealed))
+    blind = next((idx for idx, reveal in enumerate(reveals) if not reveal), None)
+    if blind is None:
         return None
-
-    return search(0, tuple(range(1, n_apps + 1)), 0)
+    free = [idx for idx in range(blind) if probs[idx] != 1] + [blind]
+    if free[0]:  # stage 1 reveals and accepts its new best for certain
+        return None
+    order = list(range(1, n_apps + 1))
+    for start, end in zip(free, free[1:]):
+        order[start:end] = [end, *range(start + 1, end)]
+    return tuple(order), blind + 1
 
 
 @dataclass(frozen=True)
@@ -223,9 +218,10 @@ class ExactEvaluation:
     @staticmethod
     def require_enumerable(config: GameConfig) -> None:
         """Raise ValueError for an instance too large for the exact checks
-        (N > 10), before anything of size N is built.  The walk itself takes
-        O(N^2) states; the limit guards the counterexample search, which
-        can visit up to 2^N * (N + 1) of them."""
+        (N > 10), before anything of size N is built.  The walk takes O(N^2)
+        states and the counterexample O(N) steps, but the walk's
+        integers grow with N and with the plan's denominators, so the limit
+        stays until one is set from measured work."""
         if config.n_applicants > _MAX_ENUM:
             raise ValueError(f"enumeration supports at most {_MAX_ENUM} applicants")
 
@@ -233,15 +229,11 @@ class ExactEvaluation:
 def exact_evaluation(config: GameConfig, plan: PolicySpec | StrategyProfile) -> ExactEvaluation:
     """Evaluate a policy or profile exactly, over all N! arrival orders:
     one lumped walk from stage 1 gives the success probability and expected
-    stopping index, and the counterexample search runs only where some
-    stage reveals nothing, since a plan whose every stage reveals keeps
-    full learning on every prefix."""
+    stopping index, and ``_first_break`` the counterexample, if any."""
     ExactEvaluation.require_enumerable(config)
     reveals, probs = plan.plan(config)
     success, tau_mass, count = _lumped_walk(reveals, probs)
-    # only a stage that reveals nothing can break full learning
-    first = None if all(reveals) else _first_break(reveals, probs)
-    return ExactEvaluation(success / count, tau_mass / count, first)
+    return ExactEvaluation(success / count, tau_mass / count, _first_break(reveals, probs))
 
 
 def exact_success_probability(config: GameConfig, policy: PolicySpec) -> Fraction:

@@ -836,6 +836,23 @@ def test_large_buffers_stay_mapped_after_a_command():
     assert int(proc.stdout) >= 4 << 20
 
 
+@pytest.mark.skipif(not _glibc_version(), reason="the threshold is pinned on glibc only")
+def test_mmap_threshold_is_pinned_once_per_process(monkeypatch, capsys):
+    loads = []
+    load = cli.ctypes.CDLL
+
+    def spy(*args):
+        loads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", spy)
+    cli._pin_mmap_threshold.cache_clear()
+    for _ in range(2):
+        assert main(["solve", "--n", "10", "--cost", "0.1"]) == 0
+    capsys.readouterr()
+    assert loads == [(None,)]
+
+
 def test_unsettled_threshold_is_a_usage_error():
     # simulate needs n* before anything is allocated; at N = 1e12 the
     # threshold cannot be settled in bounded time, so the command refuses

@@ -110,7 +110,8 @@ class TestExactExpectedTau:
     @pytest.mark.parametrize("cost", [0.0, 0.375, 0.1])
     def test_lumped_walk_past_the_enumeration_limit(self, n_apps, cost):
         # the walk needs O(N^2) states, so it reaches sizes that no order
-        # enumeration could; the refusal above N = 10 guards the witness search
+        # enumeration could; the refusal above N = 10 stays, since the walk's
+        # integers grow with N and with the plan's denominators
         cfg = GameConfig(n_apps, cost)
         success, tau_mass, count = _lumped_walk(*StrategyProfile.equilibrium(cfg).plan(cfg))
         assert count == math.factorial(n_apps)
@@ -312,6 +313,38 @@ def flat_walk(reveals, probs, stage=1, state=1):
                 if not alive:
                     break
     return success, tau_mass, count, first
+
+
+def dfs_first_break(reveals, probs):
+    """The first full-learning break as a depth-first search over order
+    prefixes in lexicographic order, each (ranks left, best revealed) state
+    solved at most once: up to 2^N (N + 1) states.  Kept as an independent
+    reference for the oracle's O(N) construction of the same break."""
+    n_apps = len(probs)
+    certain = [q == 1 for q in probs]
+    path = []
+    clean = set()
+
+    def search(idx, rest, revealed):
+        if (rest, revealed) in clean:
+            return None
+        for i, rank in enumerate(rest):
+            above = rank > revealed
+            if not reveals[idx] and above:
+                return (*path, rank, *rest[:i], *rest[i + 1 :]), idx + 1
+            # a prefix behind a certain acceptance is unreachable
+            if certain[idx] and (above or not reveals[idx]):
+                continue
+            if idx + 1 < n_apps:
+                path.append(rank)
+                found = search(idx + 1, rest[:i] + rest[i + 1 :], max(rank, revealed))
+                path.pop()
+                if found:
+                    return found
+        clean.add((rest, revealed))
+        return None
+
+    return search(0, tuple(range(1, n_apps + 1)), 0)
 
 
 def random_policy(rand, n_apps, cost):
@@ -661,32 +694,61 @@ class TestFullLearningAudit:
         assert order[1] > order[0]
 
     @pytest.mark.parametrize("n_apps", range(2, 11))
-    def test_witness_search_runs_only_on_a_plan_that_can_break(self, monkeypatch, n_apps):
-        # every stage of the solved plan reveals, so no prefix can break and
-        # the search over 2^N states is skipped; with one stage forced to
-        # decline it runs once and finds the witness
-        calls = []
-        search = oracle._first_break
-
-        def spy(*args):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(oracle, "_first_break", spy)
+    def test_witness_search_runs_only_on_a_plan_that_can_break(self, n_apps):
+        # the search runs on every plan: every stage of the solved plan
+        # reveals, so no prefix breaks; with the last stage forced to
+        # decline the witness is found there
         cfg = GameConfig(n_apps, 0.3)
         solved = StrategyProfile.equilibrium(cfg)
         assert exact_evaluation(cfg, solved).counterexample is None
-        assert not calls
         rules = list(solved.stages)
         rules[-1] = dataclasses.replace(rules[-1], force_decline=True)
         found = exact_evaluation(cfg, StrategyProfile(cfg.cost, tuple(rules))).counterexample
-        assert len(calls) == 1
         if n_apps == 2:
             # stage 1 accepts its record outright, so stage 2 is never reached
             assert found is None
         else:
             order, stage = found
             assert stage == n_apps and order[-1] == n_apps
+
+    def test_first_break_matches_the_depth_first_search(self):
+        rand = random.Random(2718)
+        stages = []
+        for _ in range(6000):
+            n_apps = rand.randint(2, 9)
+            reveals, probs = [], []
+            for _ in range(n_apps):
+                kind = rand.random()
+                q = rand.choice(
+                    [0, 1, Fraction(rand.randint(0, 5), 5), rand.random(), 0.375]
+                )
+                if kind < 0.1:
+                    q = 0.0  # a forced decline: blind, never accepts
+                reveals.append(0.1 <= kind < 0.8)
+                probs.append(q)
+            expected = dfs_first_break(reveals, probs)
+            assert _first_break(reveals, probs) == expected
+            stages.append(None if expected is None else expected[1])
+        # both verdicts, and breaks at several stages, occur in the sample
+        assert None in stages and len(set(stages)) >= 6
+
+    def test_forced_break_past_the_enumeration_limit(self):
+        # the solved plan with its last stage blind at q = 0
+        cfg = GameConfig(300, 0.1)
+        reveals, probs = StrategyProfile.equilibrium(cfg).plan(cfg)
+        reveals[-1], probs[-1] = False, 0.0
+        order, stage = _first_break(reveals, probs)
+        assert stage == 300 and order[-1] == 300
+        assert sorted(order) == list(range(1, 301))
+
+    @pytest.mark.parametrize("n_apps", [16, 300])
+    def test_solved_plan_past_the_enumeration_limit_keeps_full_learning(self, n_apps):
+        # every stage reveals, so the search finds no break; the
+        # depth-first search visits up to 2^N (N + 1) states here
+        cfg = GameConfig(n_apps, 0.1)
+        reveals, probs = StrategyProfile.equilibrium(cfg).plan(cfg)
+        assert all(reveals)
+        assert _first_break(reveals, probs) is None
 
     def test_blind_stage_fails(self):
         cfg = GameConfig(3, 0.2)
