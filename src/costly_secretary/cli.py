@@ -36,7 +36,7 @@ from .equilibrium import (
     solve_values,
 )
 from .oracle import ExactEvaluation, VerificationError, exact_evaluation, optimality_scan
-from .simulator import StrategyProfile, estimate
+from .simulator import AggregateStats, StrategyProfile, estimate
 
 __all__ = ["run", "main"]
 
@@ -257,6 +257,8 @@ def _run_asymptotics(args: argparse.Namespace) -> int:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     config = GameConfig(args.n, args.cost)
+    # A bad --trials, --seed or --workers fails first, before any work of size N.
+    AggregateStats.check_run(args.trials, args.seed, args.workers)
     profile = StrategyProfile.equilibrium(config)
     stats = estimate(config, profile, args.trials, args.seed, workers=args.workers)
     mean_tau_cond = stats.mean_tau_conditional
@@ -337,9 +339,13 @@ def run(args: argparse.Namespace) -> int:
     try:
         return args.handler(args)
     except BrokenPipeError:
-        # The reader stopped early (`| head`): stop quietly, with stdout on
-        # devnull so that the interpreter's final flush cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader stopped early (`| head`): stop quietly, with stdout's
+        # descriptor, if it has one, on devnull so that the interpreter's
+        # final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 0
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -379,7 +385,60 @@ def _parse_cost_list(text: str) -> tuple[float, ...]:
     return costs
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The output pair that every command takes after its own arguments.
+_IO_ARGS = (
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    ("--out", {"default": None, "help": "output path (default stdout)"}),
+)
+
+# Each subcommand's help, handler and own arguments as (flag, add_argument
+# keywords), in the order that --help lists them.
+_COMMANDS = {
+    "solve": ("solve one instance", _run_solve, (
+        ("--n", {"type": int, "required": True}),
+        ("--cost", {"type": float, "required": True}),
+        ("--tables", {"action": "store_true", "help": "emit per-stage values"}),
+    )),
+    "sweep": ("solve a grid of instances", _run_sweep, (
+        ("--n-range", {"required": True,
+                       "help": "A:B, A:B:STEP, or A:B:COUNT with --log-spaced"}),
+        ("--cost-list", {"required": True, "help": "comma-separated costs"}),
+        ("--log-spaced", {"action": "store_true"}),
+    )),
+    "asymptotics": ("convergence report for one cost", _run_asymptotics, (
+        ("--cost", {"type": float, "required": True}),
+        ("--n-range", {"required": True}),
+        ("--log-spaced", {"action": "store_true"}),
+        ("--tolerance", {"type": float, "default": 0.05}),
+    )),
+    "simulate": ("Monte Carlo under the solved profile", _run_simulate, (
+        ("--n", {"type": int, "required": True}),
+        ("--cost", {"type": float, "required": True}),
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--workers", {"type": int, "default": None,
+                       "help": "most threads to run (default: every usable CPU); "
+                               "the output never depends on it"}),
+    )),
+    "oracle": ("exact verification of one instance", _run_oracle, (
+        ("--n", {"type": int, "required": True}),
+        ("--cost", {"type": float, "required": True}),
+        ("--grid-step", {"type": float, "default": None, "help": "also run the policy scan"}),
+        ("--tolerance", {"type": float, "default": 1e-12}),
+    )),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``command``
+    only, or of every subcommand when ``command`` is None.
+
+    Each subcommand is registered with its help and handler either way, so
+    the top-level help and errors are those of the full parser.  A
+    subcommand left without its arguments is never parsed: the top-level
+    parser has no option that takes a value, so when argv[0] names a
+    command, argparse hands every later string to that command's parser.
+    """
     parser = argparse.ArgumentParser(
         prog="costly-secretary",
         description=(
@@ -388,55 +447,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("solve", help="solve one instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--tables", action="store_true", help="emit per-stage values")
-    add_io(p)
-    p.set_defaults(handler=_run_solve)
-
-    p = sub.add_parser("sweep", help="solve a grid of instances")
-    p.add_argument("--n-range", required=True, help="A:B, A:B:STEP, or A:B:COUNT with --log-spaced")
-    p.add_argument("--cost-list", required=True, help="comma-separated costs")
-    p.add_argument("--log-spaced", action="store_true")
-    add_io(p)
-    p.set_defaults(handler=_run_sweep)
-
-    p = sub.add_parser("asymptotics", help="convergence report for one cost")
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--n-range", required=True)
-    p.add_argument("--log-spaced", action="store_true")
-    p.add_argument("--tolerance", type=float, default=0.05)
-    add_io(p)
-    p.set_defaults(handler=_run_asymptotics)
-
-    p = sub.add_parser("simulate", help="Monte Carlo under the solved profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="most threads to run (default: every usable CPU); the output never depends on it",
-    )
-    add_io(p)
-    p.set_defaults(handler=_run_simulate)
-
-    p = sub.add_parser("oracle", help="exact verification of one instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cost", type=float, required=True)
-    p.add_argument("--grid-step", type=float, default=None, help="also run the policy scan")
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    add_io(p)
-    p.set_defaults(handler=_run_oracle)
-
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            for flag, keywords in arguments + _IO_ARGS:
+                p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -463,10 +479,20 @@ def _pin_mmap_threshold() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run it; returns the
+    exit code.
+
+    When argv[0] names a command, only that command's arguments are built:
+    argparse dispatches every such argv to that command's parser (see
+    _build_parser), so the bytes and exit code are those of the full
+    parser.  Anything else (no arguments, ``--help``, an unknown command,
+    an option before the command) takes the full parser.
+    """
     _pin_mmap_threshold()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else _USAGE_ERROR
     return run(args)

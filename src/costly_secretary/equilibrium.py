@@ -87,9 +87,11 @@ _THRESHOLD_MARGIN = 1e-12
 # compute_threshold refuses instead of running it.
 _LOOP_MAX_N = 10**9
 # _solve_sizes runs in lockstep only the stages where at least this many
-# instances are in their head stages:
-# one numpy step of five ufuncs takes about 6 us on a 2-core host, a scalar
-# head stage about 0.16 us per instance, so they break even near 36.
+# instances are in their head stages.  On a 2-core x86-64 host (Python
+# 3.11, numpy 2.4), one numpy step of five ufuncs over 48 lanes took
+# 2.5-4.1 us and a scalar head stage 0.076-0.10 us per instance (six runs
+# of each), so they break even between about 26 and 54 lanes, near 32 in
+# most runs; 48 stays until an end-to-end measurement moves it.
 _LOCKSTEP_MIN_LANES = 48
 
 

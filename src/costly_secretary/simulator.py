@@ -269,6 +269,18 @@ class AggregateStats:
     tau_se: float
     seed: int
 
+    @staticmethod
+    def check_run(trials: int, seed: int, workers: int | None) -> tuple[int, int, int | None]:
+        """The trial count, seed and worker bound of ``estimate`` as integers,
+        or ValueError for a bad one, before anything of size N is built."""
+        trials = _as_count(trials, 1, "trials")
+        seed = _as_count(seed, 0, "seed")
+        if seed >= 2**64:
+            raise ValueError("seed must fit in 64 bits")
+        if workers is not None:
+            workers = _as_count(workers, 1, "workers")
+        return trials, seed, workers
+
 
 def _skip(bitgen: np.random.BitGenerator, pos: int, count: int) -> None:
     """Move a Philox stream that has produced ``pos`` outputs on by
@@ -388,13 +400,10 @@ def estimate(
     than threads: then each batch is cut into trial slices of at least
     _SLICE trials, enough to give every thread one where the batches allow.
     """
+    trials, seed, workers = AggregateStats.check_run(trials, seed, workers)
     reveals, probs = profile.plan(config)
-    trials = _as_count(trials, 1, "trials")
-    seed = _as_count(seed, 0, "seed")
-    if seed >= 2**64:
-        raise ValueError("seed must fit in 64 bits")
     cpus = _usable_cpus()
-    threads = min(cpus if workers is None else _as_count(workers, 1, "workers"), cpus)
+    threads = min(cpus if workers is None else workers, cpus)
     n_batches = -(-trials // _BATCH)
     cuts = -(-threads // n_batches)  # 1 unless there are fewer batches than threads
     slices = []

@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import io
 import json
+import re
 import math
 import os
 import shlex
@@ -219,6 +221,28 @@ class TestSimulate:
         assert abs(float(fields["success_rate"]) - pi) <= 4 * float(
             fields["success_se"]
         )
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "trials must be >= 1, got 0"),
+            (["--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--trials", "1", "--seed", str(2**64)], "seed must fit in 64 bits"),
+            (["--trials", "1", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["--trials", "0", "--seed", "-1", "--workers", "0"], "trials must be >= 1, got 0"),
+            (["--trials", "1", "--seed", "-1", "--workers", "0"], "seed must be >= 0, got -1"),
+        ],
+        ids=["trials", "seed", "seed-64-bits", "workers", "trials-first", "seed-before-workers"],
+    )
+    def test_bad_run_arguments_fail_before_the_profile(self, capsys, monkeypatch, flags, message):
+        # at N = 2e7 the solved profile takes seconds to build
+        def unreachable(config):
+            raise AssertionError("the solved profile was built")
+
+        monkeypatch.setattr(StrategyProfile, "equilibrium", staticmethod(unreachable))
+        argv = ["simulate", "--n", "20000000", "--cost", "0.1", *flags]
+        assert capture(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 class TestOracleCommand:
@@ -884,6 +908,27 @@ def test_reader_closing_the_pipe_early_exits_quietly():
     assert err == b""
 
 
+def _broken_pipe(args):
+    raise BrokenPipeError
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_broken_pipe_closes_the_devnull_descriptor(tmp_path, monkeypatch):
+    with open(tmp_path / "out", "w") as stdout, monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert cli.run(argparse.Namespace(handler=_broken_pipe)) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_broken_pipe_without_a_stdout_descriptor_exits_quietly(monkeypatch):
+    # an in-process caller that captures stdout in a StringIO and writes
+    # --out to a FIFO whose reader has left
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert cli.run(argparse.Namespace(handler=_broken_pipe)) == 0
+
+
 def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -896,4 +941,149 @@ def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The parser as it was built before the subcommand table: every
+    argument of every command, one add_argument call at a time."""
+    parser = argparse.ArgumentParser(
+        prog="costly-secretary",
+        description=(
+            "Solve, sweep, simulate, and verify the secretary problem with "
+            "applicant-borne interview costs."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_io(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    p = sub.add_parser("solve", help="solve one instance")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--cost", type=float, required=True)
+    p.add_argument("--tables", action="store_true", help="emit per-stage values")
+    add_io(p)
+    p.set_defaults(handler=cli._run_solve)
+
+    p = sub.add_parser("sweep", help="solve a grid of instances")
+    p.add_argument("--n-range", required=True, help="A:B, A:B:STEP, or A:B:COUNT with --log-spaced")
+    p.add_argument("--cost-list", required=True, help="comma-separated costs")
+    p.add_argument("--log-spaced", action="store_true")
+    add_io(p)
+    p.set_defaults(handler=cli._run_sweep)
+
+    p = sub.add_parser("asymptotics", help="convergence report for one cost")
+    p.add_argument("--cost", type=float, required=True)
+    p.add_argument("--n-range", required=True)
+    p.add_argument("--log-spaced", action="store_true")
+    p.add_argument("--tolerance", type=float, default=0.05)
+    add_io(p)
+    p.set_defaults(handler=cli._run_asymptotics)
+
+    p = sub.add_parser("simulate", help="Monte Carlo under the solved profile")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--cost", type=float, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="most threads to run (default: every usable CPU); the output never depends on it",
+    )
+    add_io(p)
+    p.set_defaults(handler=cli._run_simulate)
+
+    p = sub.add_parser("oracle", help="exact verification of one instance")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--cost", type=float, required=True)
+    p.add_argument("--grid-step", type=float, default=None, help="also run the policy scan")
+    p.add_argument("--tolerance", type=float, default=1e-12)
+    add_io(p)
+    p.set_defaults(handler=cli._run_oracle)
+
+    return parser
+
+
+def _documented_command_lines() -> list[list[str]]:
+    """The argv of every costly-secretary line in the README's CLI block and
+    in the CI workflow, up to a pipe, redirect, quote or substitution."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("costly-secretary ")
+    ]
+    workflow = root / ".github" / "workflows" / "tests.yml"
+    if workflow.exists():
+        found = re.findall(r"costly-secretary (.*?)(?= \d>|[|>\"$)\n])", workflow.read_text())
+        commands += map(shlex.split, found)
+    return commands
+
+
+_COMMAND_NAMES = ["solve", "sweep", "asymptotics", "simulate", "oracle"]
+_BAD_VALUES = {
+    "solve": ["--n", "x", "--cost", "0.1"],
+    "sweep": ["--n-range", "2:5", "--cost-list", "0.1", "--format", "xml"],
+    "asymptotics": ["--cost", "z", "--n-range", "2:5"],
+    "simulate": ["--n", "10", "--cost", "0.1", "--trials", "1.5"],
+    "oracle": ["--n", "5", "--cost", "0.1", "--grid-step", "g"],
+}
+_PARSER_ARGV = [
+    [], ["--help"], ["-h"], ["-h", "solve"], ["-h", "--bogus"],
+    ["frobnicate"], ["frobnicate", "--n", "3"], ["sol", "--n", "3", "--cost", "0.1"],
+    ["--bogus"], ["--bogus", "solve", "--n", "10", "--cost", "0.1"],
+    ["solve", "--n", "10", "--cost", "0.1", "--bogus"], ["solve", "--n", "10", "--cost", "0.1", "oracle"],
+    ["solve", "--n", "10", "--cost", "0.1", "--form", "json"], ["oracle", "solve"],
+    *([c, "--help"] for c in _COMMAND_NAMES),
+    *([c] for c in _COMMAND_NAMES),
+    *([c, *_BAD_VALUES[c]] for c in _COMMAND_NAMES),
+    *([c, "-h", "--bogus"] for c in _COMMAND_NAMES),
+    *(["--bogus", c] for c in _COMMAND_NAMES),
+    *_documented_command_lines(),
+]
+
+
+def _parsed(capsys, monkeypatch, argv, build_parser=None):
+    """main's exit code, stdout and stderr, and the namespaces it would run,
+    with the handler not run."""
+    ran = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run", lambda args: ran.append(vars(args)) or 0)
+        if build_parser is not None:
+            m.setattr(cli, "_build_parser", build_parser)
+        code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err, ran
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=shlex.join)
+def test_parser_matches_the_full_reference_build(capsys, monkeypatch, argv):
+    want = _parsed(capsys, monkeypatch, argv, lambda command=None: _reference_parser())
+    assert _parsed(capsys, monkeypatch, argv) == want
+
+
+def test_only_the_invoked_command_gets_its_arguments(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *flags, **kwargs):
+        if flags != ("-h", "--help"):
+            added.append((parser.prog, flags[0]))
+        return add_argument(parser, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    _reference_parser()
+    full, added[:] = added[:], []
+    assert len(full) == 29
+
+    assert main(["oracle", "--n", "4", "--cost", "0.1"]) == 0
+    oracle_flags = ["--n", "--cost", "--grid-step", "--tolerance", "--format", "--out"]
+    assert added == [("costly-secretary oracle", flag) for flag in oracle_flags]
+    for argv, code in [(["--help"], 0), (["--bogus", "solve"], 2)]:
+        added.clear()
+        assert main(argv) == code
+        assert added == full, argv
     capsys.readouterr()
