@@ -362,17 +362,21 @@ def _parse_n_range(text: str, log_spaced: bool) -> tuple[int, ...]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"range must look like A:B or A:B:STEP, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
+    try:
+        lo, hi, *step_or_count = map(int, parts)
+    except ValueError:
+        form = "A:B:COUNT" if log_spaced else "A:B:STEP"
+        raise ValueError(f"range must look like A:B or {form}, got {text!r}") from None
     if lo < 2 or hi < lo:
         raise ValueError(f"range must satisfy 2 <= A <= B, got {text!r}")
     if log_spaced:
-        count = int(parts[2]) if len(parts) == 3 else 20
+        count = step_or_count[0] if step_or_count else 20
         if count < 2:
             raise ValueError("log-spaced range needs a count of at least 2")
         values = np.geomspace(lo, hi, count)
         out = sorted({int(round(v)) for v in values})
         return tuple(out)
-    step = int(parts[2]) if len(parts) == 3 else 1
+    step = step_or_count[0] if step_or_count else 1
     if step < 1:
         raise ValueError("range step must be a positive integer")
     return tuple(range(lo, hi + 1, step))
@@ -429,16 +433,18 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of ``command``
-    only, or of every subcommand when ``command`` is None.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments and handler of command ``name``."""
+    _, handler, arguments = _COMMANDS[name]
+    for flag, keywords in arguments + _IO_ARGS:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(handler=handler)
+    return parser
 
-    Each subcommand is registered with its help and handler either way, so
-    the top-level help and errors are those of the full parser.  A
-    subcommand left without its arguments is never parsed: the top-level
-    parser has no option that takes a value, so when argv[0] names a
-    command, argparse hands every later string to that command's parser.
-    """
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand with its help, arguments and
+    handler.  main builds it only for help and top-level errors."""
     parser = argparse.ArgumentParser(
         prog="costly-secretary",
         description=(
@@ -447,12 +453,8 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            for flag, keywords in arguments + _IO_ARGS:
-                p.add_argument(flag, **keywords)
-        p.set_defaults(handler=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -482,17 +484,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse ``argv`` (default ``sys.argv[1:]``) and run it; returns the
     exit code.
 
-    When argv[0] names a command, only that command's arguments are built:
-    argparse dispatches every such argv to that command's parser (see
-    _build_parser), so the bytes and exit code are those of the full
-    parser.  Anything else (no arguments, ``--help``, an unknown command,
-    an option before the command) takes the full parser.
+    When argv[0] names a command, only that command's own parser is built.
+    It is the parser that the full one's ``add_parser`` makes (the same
+    class and prog), and the full parser, whose only option is ``-h``,
+    hands it every string after the command name, to parse into a namespace
+    that already holds ``command``; so its help, errors and namespace are
+    the full parser's.  The full parser is built only for
+    help and top-level errors: when argv[0] is no command (no arguments,
+    ``--help``, an unknown command, an option before the command), or when
+    the command's parser leaves strings over, which the full parser
+    reports as unrecognized with its own usage.
     """
     _pin_mmap_threshold()
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = rest = None
+        if argv and argv[0] in _COMMANDS:
+            own = _add_command(argparse.ArgumentParser(prog=f"costly-secretary {argv[0]}"), argv[0])
+            args, rest = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if args is None or rest:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else _USAGE_ERROR
     return run(args)

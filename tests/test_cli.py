@@ -783,6 +783,26 @@ class TestErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "command, n_range, log_spaced",
+        [
+            (command, n_range, log_spaced)
+            for command in ("sweep", "asymptotics")
+            for n_range in ("2:3:x", "1e3:1e6", "2:x", "y:10:3", "2.5:10", "1:3:x")
+            for log_spaced in (False, True)
+        ],
+    )
+    def test_non_integer_range_part_gets_the_range_message(
+        self, capsys, command, n_range, log_spaced
+    ):
+        argv = [command, "--n-range", n_range]
+        argv += ["--cost-list", "0.1"] if command == "sweep" else ["--cost", "0.1"]
+        argv += ["--log-spaced"] if log_spaced else []
+        form = "A:B:COUNT" if log_spaced else "A:B:STEP"
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: range must look like A:B or {form}, got {n_range!r}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["solve", "--n", "3", "--cost", "{}"],
@@ -1037,6 +1057,17 @@ _PARSER_ARGV = [
     ["--bogus"], ["--bogus", "solve", "--n", "10", "--cost", "0.1"],
     ["solve", "--n", "10", "--cost", "0.1", "--bogus"], ["solve", "--n", "10", "--cost", "0.1", "oracle"],
     ["solve", "--n", "10", "--cost", "0.1", "--form", "json"], ["oracle", "solve"],
+    # a complete command followed by strings that its parser leaves over, or nearly so
+    ["solve", "--n", "10", "--cost", "0.1", "extra"],
+    ["solve", "--n", "10", "--cost", "0.1", "--", "extra"],
+    ["solve", "--n", "10", "--cost", "0.1", "--"],
+    ["solve", "--n", "10", "--cost", "0.1", "-"],
+    ["solve", "--n", "10", "--bogus", "--cost", "0.1"],
+    ["solve", "--n", "10", "--n", "12", "--cost", "0.1"],
+    ["solve", "--n", "10", "--cost=0.1"],
+    ["solve", "--n", "10", "--co", "0.1"],
+    ["solve", "--n", "10", "--cost", "0.1", "-h"],
+    ["solve", "--n", "x", "--cost", "0.1", "--bogus"],
     *([c, "--help"] for c in _COMMAND_NAMES),
     *([c] for c in _COMMAND_NAMES),
     *([c, *_BAD_VALUES[c]] for c in _COMMAND_NAMES),
@@ -1046,44 +1077,67 @@ _PARSER_ARGV = [
 ]
 
 
-def _parsed(capsys, monkeypatch, argv, build_parser=None):
-    """main's exit code, stdout and stderr, and the namespaces it would run,
-    with the handler not run."""
+def _parsed(capsys, monkeypatch, argv):
+    """main's exit code, stdout and stderr, and the items of the namespace it
+    would run, in order, with the handler not run."""
     ran = []
     with monkeypatch.context() as m:
-        m.setattr(cli, "run", lambda args: ran.append(vars(args)) or 0)
-        if build_parser is not None:
-            m.setattr(cli, "_build_parser", build_parser)
+        m.setattr(cli, "run", lambda args: ran.append(list(vars(args).items())) or 0)
         code = main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err, ran
+
+
+def _reference_parsed(capsys, argv):
+    """The same from the full reference parser, which parses ``argv`` alone,
+    with its exit code taken as main takes it."""
+    try:
+        ran, code = [list(vars(_reference_parser().parse_args(argv)).items())], 0
+    except SystemExit as exc:
+        ran, code = [], exc.code if exc.code is not None else 2
     out = capsys.readouterr()
     return code, out.out, out.err, ran
 
 
 @pytest.mark.parametrize("argv", _PARSER_ARGV, ids=shlex.join)
 def test_parser_matches_the_full_reference_build(capsys, monkeypatch, argv):
-    want = _parsed(capsys, monkeypatch, argv, lambda command=None: _reference_parser())
-    assert _parsed(capsys, monkeypatch, argv) == want
+    assert _parsed(capsys, monkeypatch, argv) == _reference_parsed(capsys, argv)
 
 
 def test_only_the_invoked_command_gets_its_arguments(capsys, monkeypatch):
-    added = []
-    add_argument = argparse.ArgumentParser.add_argument
+    made, added = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
 
-    def spy(parser, *flags, **kwargs):
+    def init_spy(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        made.append(parser.prog)
+
+    def add_spy(parser, *flags, **kwargs):
         if flags != ("-h", "--help"):
             added.append((parser.prog, flags[0]))
         return add_argument(parser, *flags, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init_spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", add_spy)
     _reference_parser()
-    full, added[:] = added[:], []
-    assert len(full) == 29
+    full_made, full = made[:], added[:]
+    assert len(full_made) == 6 and len(full) == 29
 
+    del made[:], added[:]
     assert main(["oracle", "--n", "4", "--cost", "0.1"]) == 0
     oracle_flags = ["--n", "--cost", "--grid-step", "--tolerance", "--format", "--out"]
+    assert made == ["costly-secretary oracle"]
     assert added == [("costly-secretary oracle", flag) for flag in oracle_flags]
-    for argv, code in [(["--help"], 0), (["--bogus", "solve"], 2)]:
-        added.clear()
+
+    solve_flags = ["--n", "--cost", "--tables", "--format", "--out"]
+    solve = [("costly-secretary solve", flag) for flag in solve_flags]
+    for argv, code, own_made, own in [
+        (["--help"], 0, [], []),
+        (["--bogus", "solve"], 2, [], []),
+        (["solve", "--n", "10", "--cost", "0.1", "extra"], 2, ["costly-secretary solve"], solve),
+    ]:
+        del made[:], added[:]
         assert main(argv) == code
-        assert added == full, argv
+        assert made == own_made + full_made, argv
+        assert added == own + full, argv
     capsys.readouterr()
